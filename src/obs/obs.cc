@@ -85,6 +85,16 @@ void SetObsSink(ObsSink* sink) {
   internal::SetObsActiveBit(kObsSinkBit, sink != nullptr);
 }
 
+void ObsReleaseThreadState() {
+  ObsSink* sink = g_sink.load(std::memory_order_acquire);
+  // Epochs start at 1, so a matching epoch implies a cached block.
+  if (sink != nullptr && tls_cache.epoch == sink->epoch()) {
+    sink->ReleaseBlock(tls_cache.block);
+  }
+  tls_cache = TlsCache();
+  internal::ReleaseTraceRing();
+}
+
 uint8_t ObsActiveMask() {
   return g_active_mask.load(std::memory_order_relaxed);
 }
@@ -231,12 +241,19 @@ ObsSink::~ObsSink() {
 
 ObsSink::CounterBlock* ObsSink::BlockForCurrentThread() {
   std::lock_guard<std::mutex> lock(mu_);
-  blocks_.push_back(std::make_unique<CounterBlock>());
-  blocks_.back()->thread_name =
-      tls_thread_name != nullptr && !tls_thread_name->empty()
-          ? *tls_thread_name
-          : "main";
-  return blocks_.back().get();
+  if (free_blocks_.empty()) {
+    blocks_.push_back(std::make_unique<CounterBlock>());
+    free_blocks_.push_back(blocks_.back().get());
+  }
+  CounterBlock* block = free_blocks_.back();
+  free_blocks_.pop_back();
+  block->thread_name = internal::CurrentThreadName();
+  return block;
+}
+
+void ObsSink::ReleaseBlock(CounterBlock* block) {
+  std::lock_guard<std::mutex> lock(mu_);
+  free_blocks_.push_back(block);
 }
 
 void ObsSink::BeginPhase(const std::string& name) {

@@ -126,6 +126,11 @@ struct HistogramSnapshot {
 HistogramSnapshot MergeHistograms(const HistogramSnapshot& a,
                                   const HistogramSnapshot& b);
 
+/// Hands the calling thread's counter block and trace ring to the next
+/// thread that records (totals stay exact). A server calls it as each
+/// connection thread ends, so obs memory follows live connections.
+void ObsReleaseThreadState();
+
 /// Labels the calling thread in per-worker breakdowns ("worker0", ...).
 /// Threads that never call this are reported as "main".
 void ObsSetThreadName(const std::string& name);
@@ -175,9 +180,10 @@ class ObsSink {
   /// appears, zero-valued ones included, so report schemas are stable.
   std::map<std::string, uint64_t> CounterTotals() const;
 
-  /// Per-thread counter breakdown, in thread-registration order (the main
-  /// thread first in practice). Only counters registered at snapshot time
-  /// appear; zero cells are included.
+  /// Per-thread counter breakdown, in block-creation order (the main
+  /// thread first in practice); an entry can cover several threads that ran
+  /// one after another (see ObsReleaseThreadState). Only counters registered
+  /// at snapshot time appear; zero cells are included.
   std::vector<WorkerCounters> PerThreadCounters() const;
 
   /// Gauge snapshot.
@@ -216,8 +222,10 @@ class ObsSink {
     std::array<HistogramCells, kMaxObsHistograms> histograms{};
   };
 
-  /// The calling thread's block, created and registered on first use.
+  /// The calling thread's block: a released one if any, else a new one.
   CounterBlock* BlockForCurrentThread();
+  /// Queues a block for reuse (see ObsReleaseThreadState).
+  void ReleaseBlock(CounterBlock* block);
 
   /// Process-unique id of this sink; lets threads detect a sink swap and
   /// drop cached block pointers from a previous sink.
@@ -231,6 +239,7 @@ class ObsSink {
 
   mutable std::mutex mu_;
   std::deque<std::unique_ptr<CounterBlock>> blocks_;  // guarded by mu_
+  std::vector<CounterBlock*> free_blocks_;            // guarded by mu_
   std::map<std::string, double> gauges_;              // guarded by mu_
   std::vector<PhaseNode> root_phases_;                // guarded by mu_
   std::vector<PhaseNode*> phase_stack_;               // guarded by mu_

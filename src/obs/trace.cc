@@ -58,6 +58,16 @@ std::vector<std::string> ObsSpanNames() {
   return registry.names;
 }
 
+namespace internal {
+void ReleaseTraceRing() {
+  TraceCollector* collector = g_collector.load(std::memory_order_acquire);
+  if (collector != nullptr && tls_ring.epoch == collector->epoch()) {
+    collector->ReleaseRing(tls_ring.ring);
+  }
+  tls_ring = TlsRingCache();
+}
+}  // namespace internal
+
 TraceCollector* GetTraceCollector() {
   return g_collector.load(std::memory_order_acquire);
 }
@@ -98,12 +108,21 @@ TraceCollector::~TraceCollector() {
 
 TraceCollector::Ring* TraceCollector::RingForCurrentThread() {
   std::lock_guard<std::mutex> lock(mu_);
-  auto ring = std::make_unique<Ring>();
-  ring->tid = static_cast<uint32_t>(rings_.size());
+  if (free_rings_.empty()) {
+    rings_.push_back(std::make_unique<Ring>());
+    rings_.back()->tid = static_cast<uint32_t>(rings_.size() - 1);
+    rings_.back()->slots.resize(events_per_thread_);
+    free_rings_.push_back(rings_.back().get());
+  }
+  Ring* ring = free_rings_.back();
+  free_rings_.pop_back();
   ring->thread_name = internal::CurrentThreadName();
-  ring->slots.resize(events_per_thread_);
-  rings_.push_back(std::move(ring));
-  return rings_.back().get();
+  return ring;
+}
+
+void TraceCollector::ReleaseRing(Ring* ring) {
+  std::lock_guard<std::mutex> lock(mu_);
+  free_rings_.push_back(ring);
 }
 
 void TraceCollector::Record(size_t span_id, uint64_t start_us,

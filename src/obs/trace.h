@@ -79,8 +79,11 @@ class TraceCollector {
     uint64_t next = 0;              // owner-thread writes, post-join reads
   };
 
-  /// The calling thread's ring, created and registered on first use.
+  /// The calling thread's ring: a released one (tid and events kept) if
+  /// any, else a new one.
   Ring* RingForCurrentThread();
+  /// Queues a ring for reuse (see ObsReleaseThreadState in obs/obs.h).
+  void ReleaseRing(Ring* ring);
 
   /// Records one span into the calling thread's ring.
   void Record(size_t span_id, uint64_t start_us, uint64_t dur_us,
@@ -118,7 +121,13 @@ class TraceCollector {
 
   mutable std::mutex mu_;
   std::deque<std::unique_ptr<Ring>> rings_;  // guarded by mu_
+  std::vector<Ring*> free_rings_;            // guarded by mu_
 };
+
+namespace internal {
+/// The trace half of ObsReleaseThreadState.
+void ReleaseTraceRing();
+}  // namespace internal
 
 /// The installed collector, or nullptr when tracing is disabled.
 TraceCollector* GetTraceCollector();

@@ -55,11 +55,7 @@ ThreadPool::~ThreadPool() {
   while (!queue_.empty()) {
     QueuedTask task = std::move(queue_.front());
     queue_.pop_front();
-    try {
-      task.fn();
-    } catch (...) {
-      // Destruction cannot rethrow; the error is dropped with the pool.
-    }
+    task.fn();
   }
 }
 
@@ -77,15 +73,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
-  if (first_error_ != nullptr) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    std::rethrow_exception(error);
-  }
-}
-
 bool ThreadPool::InWorker() { return tls_pool_worker; }
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
@@ -99,22 +86,11 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       if (queue_.empty()) return;  // stop_ set and nothing left to drain
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     RecordDequeue(task.enqueued, task.stamped);
     ObsIncrement(kObsPoolTasks);
-    try {
-      const ScopedSpan span(kSpanPoolTask);
-      task.fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (first_error_ == nullptr) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) done_cv_.notify_all();
-    }
+    const ScopedSpan span(kSpanPoolTask);
+    task.fn();
   }
 }
 

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -16,10 +15,9 @@ namespace lamo {
 /// Fixed-size worker pool over a FIFO task queue. Workers are started in the
 /// constructor and joined in the destructor (pending tasks are drained
 /// first). This is the low-level engine behind ParallelFor/ParallelMap
-/// (parallel_for.h); most code should use those instead of raw Submit.
-///
-/// Exceptions thrown by tasks are captured; the first one is rethrown from
-/// the next Wait() call. Subsequent tasks still run.
+/// (parallel_for.h), which track completion and the first exception of a
+/// region themselves; most code should use those instead of raw Submit.
+/// Tasks must not throw.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (0 is allowed: Submit still accepts tasks
@@ -36,10 +34,6 @@ class ThreadPool {
 
   /// Enqueues a task. Never blocks on task execution.
   void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished. Rethrows the
-  /// first exception captured since the previous Wait(), if any.
-  void Wait();
 
   /// True when called from one of this process's pool worker threads (any
   /// pool). Parallel regions use this to reject nested fan-out.
@@ -59,12 +53,9 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
-  std::condition_variable work_cv_;   // signals workers: task or stop
-  std::condition_variable done_cv_;   // signals Wait(): queue drained
-  std::deque<QueuedTask> queue_;      // guarded by mu_
-  size_t in_flight_ = 0;              // guarded by mu_
-  bool stop_ = false;                 // guarded by mu_
-  std::exception_ptr first_error_;    // guarded by mu_
+  std::condition_variable work_cv_;  // signals workers: task or stop
+  std::deque<QueuedTask> queue_;     // guarded by mu_
+  bool stop_ = false;                // guarded by mu_
 };
 
 }  // namespace lamo

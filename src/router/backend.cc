@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -82,22 +83,34 @@ bool WriteAll(int fd, const std::string& data) {
 }
 
 /// Reads one '\n'-terminated line from `fd` into `*line` (newline stripped),
-/// using and refilling `*buffer`. False on EOF/error before a full line.
-bool ReadLine(int fd, std::string* buffer, std::string* line) {
+/// using and refilling `*buffer`. Fails on EOF/error (IoError) or, for a
+/// backend hung without dying, at `deadline` (DeadlineExceeded).
+Status ReadLine(int fd, Clock::time_point deadline, const std::string& who,
+                std::string* buffer, std::string* line) {
   while (true) {
     const size_t newline = buffer->find('\n');
     if (newline != std::string::npos) {
       line->assign(*buffer, 0, newline);
       buffer->erase(0, newline + 1);
-      return true;
+      return Status::OK();
+    }
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready =
+        poll(&pfd, 1, static_cast<int>(std::max<int64_t>(0, left.count())));
+    if (ready == 0) {
+      return Status::DeadlineExceeded(who + ": no reply within retry budget");
     }
     char chunk[4096];
-    const ssize_t n = read(fd, chunk, sizeof chunk);
+    const ssize_t n = ready < 0 ? -1 : read(fd, chunk, sizeof chunk);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return Status::IoError(who + ": read failed");
     }
-    if (n == 0) return false;  // EOF mid-response
+    if (n == 0) {
+      return Status::IoError(who + ": connection closed mid-response");
+    }
     buffer->append(chunk, static_cast<size_t>(n));
   }
 }
@@ -309,7 +322,9 @@ void Backend::CloseAllConns() {
   pool_.clear();
 }
 
-Status Backend::SendRequest(const std::string& line, std::string* response) {
+Status Backend::SendRequest(const std::string& line,
+                            std::chrono::steady_clock::time_point deadline,
+                            std::string* response) {
   inflight_.fetch_add(1, std::memory_order_acq_rel);
   struct InflightGuard {
     std::atomic<uint64_t>* counter;
@@ -324,52 +339,33 @@ Status Backend::SendRequest(const std::string& line, std::string* response) {
   Status acquired = AcquireConn(&conn);
   if (!acquired.ok()) return acquired;
 
-  bool healthy = false;
-  Status result = Status::OK();
-  do {
-    if (!WriteAll(conn.fd, line + "\n")) {
-      result = Status::IoError("backend " + std::to_string(index_) +
-                               ": write failed");
-      break;
+  const std::string who = "backend " + std::to_string(index_);
+  std::string head;
+  Status result = WriteAll(conn.fd, line + "\n")
+                      ? ReadLine(conn.fd, deadline, who, &conn.buffer, &head)
+                      : Status::IoError(who + ": write failed");
+  // ERR responses are one line and already complete; any other shape is
+  // passed through verbatim as a single line.
+  std::string full = head + "\n";
+  if (result.ok() && head.rfind("OK ", 0) == 0) {
+    char* end = nullptr;
+    const unsigned long count = std::strtoul(head.c_str() + 3, &end, 10);
+    if (end == head.c_str() + 3) {
+      result = Status::IoError(who + ": malformed OK header");
     }
-    std::string head;
-    if (!ReadLine(conn.fd, &conn.buffer, &head)) {
-      result = Status::IoError("backend " + std::to_string(index_) +
-                               ": connection closed mid-response");
-      break;
+    std::string payload_line;
+    for (unsigned long i = 0; i < count && result.ok(); ++i) {
+      result = ReadLine(conn.fd, deadline, who, &conn.buffer, &payload_line);
+      full += payload_line + "\n";
     }
-    std::string full = head + "\n";
-    if (head.rfind("OK ", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long count = std::strtoul(head.c_str() + 3, &end, 10);
-      if (end == head.c_str() + 3) {
-        result = Status::IoError("backend " + std::to_string(index_) +
-                                 ": malformed OK header");
-        break;
-      }
-      std::string payload_line;
-      bool truncated = false;
-      for (unsigned long i = 0; i < count; ++i) {
-        if (!ReadLine(conn.fd, &conn.buffer, &payload_line)) {
-          truncated = true;
-          break;
-        }
-        full += payload_line + "\n";
-      }
-      if (truncated) {
-        result = Status::IoError("backend " + std::to_string(index_) +
-                                 ": truncated payload");
-        break;
-      }
-    }
-    // ERR responses are one line and already complete; any other shape is
-    // passed through verbatim as a single line.
+  }
+  // After a failure the stream position is unknown: the connection is
+  // closed, not pooled.
+  ReleaseConn(std::move(conn), result.ok());
+  if (result.ok()) {
     *response = std::move(full);
-    healthy = true;
     requests_.fetch_add(1, std::memory_order_relaxed);
-  } while (false);
-
-  ReleaseConn(std::move(conn), healthy);
+  }
   return result;
 }
 

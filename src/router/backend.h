@@ -4,6 +4,7 @@
 #include <sys/types.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -79,8 +80,12 @@ class Backend {
   /// Sends one request line and reads the complete wire response (`OK <n>` +
   /// n lines, or one `ERR` line). Transport failures (dial/write/read/EOF)
   /// return a Status error — the response string, including backend-side
-  /// `ERR`, is a success. Thread-safe; connections come from the pool.
-  Status SendRequest(const std::string& line, std::string* response);
+  /// `ERR`, is a success; a response not complete by `deadline` (a backend
+  /// hung without dying) is DeadlineExceeded. A failed connection is closed,
+  /// not pooled. Thread-safe; connections come from the pool.
+  Status SendRequest(const std::string& line,
+                     std::chrono::steady_clock::time_point deadline,
+                     std::string* response);
 
   size_t index() const { return index_; }
   BackendState state() const { return state_.load(std::memory_order_acquire); }

@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "serve/snapshot.h"
@@ -94,7 +95,11 @@ Status Cluster::Start() {
 }
 
 void Cluster::Stop() {
-  running_.store(false, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(swap_mu_);
+    running_.store(false, std::memory_order_release);
+  }
+  swap_cv_.notify_all();  // a waiting Reload gives up
   if (monitor_.joinable()) monitor_.join();
   for (auto& backend : backends_) {
     backend->Kill(SIGTERM);
@@ -121,20 +126,23 @@ void Cluster::Stop() {
 
 void Cluster::MonitorLoop() {
   while (running_.load(std::memory_order_acquire)) {
+    std::optional<std::string> swap_base;
+    {
+      std::lock_guard<std::mutex> lock(swap_mu_);
+      swap_base.swap(swap_base_);
+    }
+    if (swap_base.has_value()) {
+      const Status status = SwapBackends(*swap_base);
+      std::lock_guard<std::mutex> lock(swap_mu_);
+      swap_result_ = status;
+      swap_cv_.notify_all();
+    }
     for (auto& backend : backends_) {
       backend->DrainOutput();
-      // While Reload holds reload_mu_ it kills and respawns backends
-      // deliberately; the monitor must not reap or respawn behind its back
-      // (Reap() transiently drops a backend to kDown mid-swap, and a
-      // monitor respawn would resurrect the OLD snapshot and clobber the
-      // reload's spawn). try_lock instead of lock so supervision never
-      // stalls the tick loop — the swapped backends are re-checked on the
-      // first tick after the reload releases the mutex.
-      std::unique_lock<std::mutex> reload_lock(reload_mu_, std::try_to_lock);
-      if (!reload_lock.owns_lock()) continue;
-      // A dead kUp backend is respawned on the snapshot it was serving
-      // (which may be mid-reload newer than other backends'); a respawn
-      // failure leaves it kDown for the next tick.
+      // Reloads swap backends on this thread too, so supervision never
+      // races a swap. A dead kUp backend is respawned on the snapshot it
+      // was serving (which may be mid-reload newer than other backends');
+      // a respawn failure leaves it kDown for the next tick.
       if (backend->state() == BackendState::kDraining) continue;
       const bool died = backend->Reap();
       if (died || (backend->state() == BackendState::kDown &&
@@ -165,9 +173,7 @@ Status Cluster::Forward(size_t index, const std::string& line,
                         std::string* response, bool* retried) {
   *retried = false;
   Backend& backend = *backends_[index];
-  const Clock::time_point deadline =
-      Clock::now() +
-      std::chrono::milliseconds(options_.retry_deadline_ms);
+  const Clock::time_point deadline = RetryDeadline();
   Status last = Status::Unavailable("backend " + std::to_string(index) +
                                     " not attempted");
   bool first = true;
@@ -175,7 +181,7 @@ Status Cluster::Forward(size_t index, const std::string& line,
     if (!first) *retried = true;
     first = false;
     if (backend.state() == BackendState::kUp) {
-      last = backend.SendRequest(line, response);
+      last = backend.SendRequest(line, deadline, response);
       if (last.ok()) return last;
       // Transport failure: the process may be dead (monitor will respawn)
       // or the connection stale (redial next attempt).
@@ -223,6 +229,21 @@ Status Cluster::Reload(const std::string& new_base) {
     }
   }
 
+  // A backend dies with the thread that forked it (PR_SET_PDEATHSIG), and
+  // the caller may be a connection thread that ends with its connection, so
+  // the swap runs on the monitor thread, which lives as long as the cluster.
+  std::unique_lock<std::mutex> swap_lock(swap_mu_);
+  swap_base_ = new_base;
+  swap_result_.reset();
+  swap_cv_.wait(swap_lock, [this] {
+    return swap_result_.has_value() || !running_.load();
+  });
+  if (swap_result_.has_value()) return *swap_result_;
+  swap_base_.reset();  // never picked up: the cluster is not running
+  return Status::Unavailable("reload needs a running cluster");
+}
+
+Status Cluster::SwapBackends(const std::string& new_base) {
   for (size_t i = 0; i < backends_.size(); ++i) {
     Backend& backend = *backends_[i];
     // Drain: stop placing new requests (Forward treats kDraining as

@@ -2,10 +2,13 @@
 #define LAMO_ROUTER_CLUSTER_H_
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,9 +32,7 @@ struct ClusterOptions {
   bool sharded = false;  // backend i serves <snapshot>.shard<i>of<N>
   size_t num_backends = 1;
   /// Forward() keeps retrying transport failures and down backends until
-  /// this budget expires. Must stay below the front server's
-  /// request_timeout_ms or a respawn window turns into client-visible
-  /// DeadlineExceeded instead of a served-late response.
+  /// this budget expires; a single backend read waits no longer either.
   uint64_t retry_deadline_ms = 10'000;
   /// Monitor thread poll cadence: death detection and respawn latency.
   uint64_t monitor_interval_ms = 50;
@@ -80,9 +81,9 @@ class Cluster {
                  bool* retried);
 
   /// Rolling reload: pack-validates `new_base` (and every shard file in
-  /// sharded mode), then for each backend in turn drains it (state
-  /// kDraining, wait for inflight == 0), terminates it, spawns the
-  /// replacement on the new snapshot and waits until a HEALTH probe answers.
+  /// sharded mode), then waits while the monitor thread drains each backend
+  /// in turn (state kDraining, wait for inflight == 0), terminates it,
+  /// spawns the replacement on the new snapshot and awaits a HEALTH answer.
   /// Requests keep flowing: replicated traffic fails over to other
   /// backends, sharded traffic for the draining shard waits inside
   /// Forward's retry loop. On success the cluster's base path becomes
@@ -95,7 +96,11 @@ class Cluster {
 
   /// Backends currently kUp.
   size_t num_up() const;
-  uint64_t retry_deadline_ms() const { return options_.retry_deadline_ms; }
+  /// The deadline for one forwarded request: now plus the retry budget.
+  std::chrono::steady_clock::time_point RetryDeadline() const {
+    return std::chrono::steady_clock::now() +
+           std::chrono::milliseconds(options_.retry_deadline_ms);
+  }
   /// Completed rolling reloads (router.reloads).
   uint64_t reloads() const { return reloads_.load(std::memory_order_relaxed); }
   /// Current base snapshot path (updated by a successful Reload).
@@ -103,6 +108,7 @@ class Cluster {
 
  private:
   void MonitorLoop();
+  Status SwapBackends(const std::string& new_base);
   Status SpawnBackend(size_t index, const std::string& base);
   Status ProbeHealth(size_t index);
   /// The spawn config for backend `index` serving `snapshot_path` — the one
@@ -118,6 +124,10 @@ class Cluster {
   std::atomic<uint64_t> reloads_{0};
   /// Held across a rolling reload so concurrent RELOAD/SIGHUP serialize.
   std::mutex reload_mu_;
+  std::mutex swap_mu_;  // hands a reload to the monitor and its result back
+  std::condition_variable swap_cv_;
+  std::optional<std::string> swap_base_;  // guarded by swap_mu_
+  std::optional<Status> swap_result_;     // guarded by swap_mu_
   mutable std::mutex base_mu_;  // guards base_snapshot_
   std::string base_snapshot_;
 };

@@ -193,9 +193,7 @@ std::string RouterService::Route(const std::string& key, uint32_t protein,
       pinned ? std::vector<size_t>{ShardBackend(protein, cluster_->size())}
              : ring_.Preference(key);
 
-  const Clock::time_point deadline =
-      Clock::now() +
-      std::chrono::milliseconds(cluster_->retry_deadline_ms());
+  const Clock::time_point deadline = cluster_->RetryDeadline();
   Status last = Status::Unavailable("no backend attempted");
   bool retried = false;
   while (true) {
@@ -220,7 +218,7 @@ std::string RouterService::Route(const std::string& key, uint32_t protein,
     if (candidate_up) {
       std::string response;
       const Clock::time_point attempt_start = Clock::now();
-      last = cluster_->backend(index).SendRequest(line, &response);
+      last = cluster_->backend(index).SendRequest(line, deadline, &response);
       if (last.ok()) {
         if (retried) {
           stats_.retries.fetch_add(1, std::memory_order_relaxed);
@@ -269,7 +267,8 @@ std::string RouterService::FanOutUpdate(const Request& request) {
   size_t applied = 0;
   for (size_t i = 0; i < cluster_->size(); ++i) {
     std::string response;
-    const Status status = cluster_->backend(i).SendRequest(line, &response);
+    const Status status = cluster_->backend(i).SendRequest(
+        line, cluster_->RetryDeadline(), &response);
     const bool ok = status.ok() && response.rfind("OK", 0) == 0;
     if (ok) {
       ++applied;
@@ -359,7 +358,8 @@ std::string RouterService::StatsView() {
                        " respawns=" + std::to_string(backend.respawns());
     if (state == BackendState::kUp) {
       std::string response;
-      if (backend.SendRequest("STATS", &response).ok() &&
+      if (backend.SendRequest("STATS", cluster_->RetryDeadline(), &response)
+              .ok() &&
           response.rfind("OK ", 0) == 0) {
         std::map<std::string, std::string> fields;
         std::istringstream in(response);
@@ -405,7 +405,8 @@ std::string RouterService::Metrics() {
     Backend& backend = cluster_->backend(i);
     if (backend.state() != BackendState::kUp) continue;
     std::string response;
-    if (!backend.SendRequest("METRICS", &response).ok() ||
+    if (!backend.SendRequest("METRICS", cluster_->RetryDeadline(), &response)
+             .ok() ||
         response.rfind("OK ", 0) != 0) {
       continue;
     }

@@ -1,7 +1,9 @@
 #include "serve/server.h"
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -9,9 +11,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstring>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <unordered_set>
@@ -20,7 +22,6 @@
 #include "obs/obs.h"
 #include "obs/prometheus.h"
 #include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 #include "predict/registry.h"
 #include "util/fault.h"
 #include "util/logging.h"
@@ -38,10 +39,9 @@ const size_t kObsCacheMisses = ObsCounterId("serve.cache_misses");
 const size_t kObsConnections = ObsCounterId("serve.connections");
 const size_t kObsAccessLogged = ObsCounterId("serve.access_logged");
 const size_t kHistRequestUs = ObsHistogramId("serve.request_us");
-const size_t kHistQueueUs = ObsHistogramId("serve.queue_us");
 
-/// Overload-protection outcomes. timeouts counts expired request budgets
-/// (slowloris partial lines and slow dispatches alike); idle_reaped counts
+/// Overload-protection outcomes. timeouts counts expired request-line
+/// budgets (slowloris partial lines); idle_reaped counts
 /// silent closes of quiet connections; overlong_lines counts the
 /// line-length guard firing; backpressure_waits counts poll cycles entered
 /// with the listen socket parked because max_conns live connections exist.
@@ -518,24 +518,15 @@ std::vector<std::string> SnapshotService::Metrics() {
   return RenderPromLines(families);
 }
 
-namespace {
-
-/// Runs one request on the pool and blocks for its response, preserving
-/// request order within the calling connection. Queue wait feeds the
-/// serve.queue_us histogram when observability is on.
-std::string Dispatch(ThreadPool& pool, LineService& service,
-                     const std::string& line) {
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
-  const bool observed = ObsEnabled();
-  const Clock::time_point enqueued =
-      observed ? Clock::now() : Clock::time_point();
-  pool.Submit([&service, line, promise, observed, enqueued] {
-    if (observed) ObsObserve(kHistQueueUs, MicrosSince(enqueued));
-    promise->set_value(service.Handle(line));
-  });
-  return future.get();
+Status RunStreamServer(LineService* service, std::istream& in,
+                       std::ostream& out) {
+  std::string line;
+  while (std::getline(in, line)) out << service->Handle(line);
+  out.flush();
+  return Status::OK();
 }
+
+namespace {
 
 /// ---- TCP plumbing ---------------------------------------------------------
 
@@ -567,35 +558,9 @@ bool SendAll(int fd, const std::string& data) {
   return true;
 }
 
-/// Like Dispatch but gives up after `timeout_ms`. On expiry the pool task
-/// keeps running harmlessly (it owns its line copy and shared promise; the
-/// service outlives the pool), but the connection is told
-/// `ERR DeadlineExceeded` and closed so an abusive or unlucky client cannot
-/// pin a reader thread forever. `timeout_ms` 0 means no deadline.
-bool DispatchWithDeadline(ThreadPool& pool, LineService& service,
-                          const std::string& line, uint64_t timeout_ms,
-                          std::string* response) {
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
-  const bool observed = ObsEnabled();
-  const Clock::time_point enqueued =
-      observed ? Clock::now() : Clock::time_point();
-  pool.Submit([&service, line, promise, observed, enqueued] {
-    if (observed) ObsObserve(kHistQueueUs, MicrosSince(enqueued));
-    promise->set_value(service.Handle(line));
-  });
-  if (timeout_ms > 0 &&
-      future.wait_for(std::chrono::milliseconds(timeout_ms)) !=
-          std::future_status::ready) {
-    return false;
-  }
-  *response = future.get();
-  return true;
-}
-
-/// Reads newline-terminated requests from one client socket, answering each
-/// through the pool. Returns on EOF, error, socket shutdown, an overload
-/// guard firing, or a stop request between lines.
+/// Reads newline-terminated requests from one client socket and answers
+/// each on this thread, in order. Returns on EOF, error, socket shutdown, an
+/// overload guard firing, or a stop request between lines.
 ///
 /// The read side is poll()-driven so two deadlines can be enforced without
 /// extra threads: a connection holding an unfinished request line longer
@@ -603,8 +568,7 @@ bool DispatchWithDeadline(ThreadPool& pool, LineService& service,
 /// connection with no partial line and no traffic past the idle budget is
 /// reaped silently — including half-closed sockets whose clients called
 /// shutdown(SHUT_WR) and then hung around.
-void ConnectionLoop(int fd, ThreadPool& pool, LineService& service,
-                    const ServeOptions& options,
+void ConnectionLoop(int fd, LineService& service, const ServeOptions& options,
                     const std::atomic<bool>& stopping) {
   std::string buffer;
   char chunk[4096];
@@ -612,29 +576,19 @@ void ConnectionLoop(int fd, ThreadPool& pool, LineService& service,
   Clock::time_point last_activity = line_start;
   while (!stopping.load(std::memory_order_acquire)) {
     size_t newline;
-    while ((newline = buffer.find('\n')) == std::string::npos) {
-      if (buffer.size() > options.max_line_bytes) {
-        ObsIncrement(kObsOverlongLines);
-        SendAll(fd, FormatErrorResponse(
-                        Status::InvalidArgument("request line too long")));
-        return;
-      }
-      // Pick the nearest armed deadline for this poll.
+    while ((newline = buffer.find('\n')) == std::string::npos &&
+           buffer.size() <= options.max_line_bytes) {
+      // A partial line runs against the line deadline, an empty buffer
+      // against the idle one.
+      const uint64_t budget_ms =
+          buffer.empty() ? options.idle_timeout_ms : options.request_timeout_ms;
       int wait_ms = -1;
-      const Clock::time_point now = Clock::now();
-      if (!buffer.empty() && options.request_timeout_ms > 0) {
-        const auto deadline =
-            line_start + std::chrono::milliseconds(options.request_timeout_ms);
+      if (budget_ms > 0) {
+        const auto deadline = (buffer.empty() ? last_activity : line_start) +
+                              std::chrono::milliseconds(budget_ms);
         wait_ms = static_cast<int>(std::max<int64_t>(
-            0, std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                     now)
-                   .count()));
-      } else if (buffer.empty() && options.idle_timeout_ms > 0) {
-        const auto deadline =
-            last_activity + std::chrono::milliseconds(options.idle_timeout_ms);
-        wait_ms = static_cast<int>(std::max<int64_t>(
-            0, std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                     now)
+            0, std::chrono::duration_cast<std::chrono::milliseconds>(
+                   deadline - Clock::now())
                    .count()));
       }
       pollfd pfd{fd, POLLIN, 0};
@@ -659,36 +613,20 @@ void ConnectionLoop(int fd, ThreadPool& pool, LineService& service,
       last_activity = Clock::now();
       buffer.append(chunk, static_cast<size_t>(n));
     }
-    const std::string line = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
-    std::string response;
-    if (!DispatchWithDeadline(pool, service, line, options.request_timeout_ms,
-                              &response)) {
-      ObsIncrement(kObsTimeouts);
-      SendAll(fd, FormatErrorResponse(Status::DeadlineExceeded(
-                      "request did not complete within deadline")));
+    // The limit applies to the current line whether or not its newline has
+    // arrived: min(npos, size) is the unfinished line's length.
+    if (std::min(newline, buffer.size()) > options.max_line_bytes) {
+      ObsIncrement(kObsOverlongLines);
+      SendAll(fd, FormatErrorResponse(
+                      Status::InvalidArgument("request line too long")));
       return;
     }
-    if (!SendAll(fd, response)) return;
+    const std::string line = buffer.substr(0, newline);
+    buffer.erase(0, newline + 1);
+    if (!SendAll(fd, service.Handle(line))) return;
     line_start = last_activity = Clock::now();
   }
 }
-
-}  // namespace
-
-Status RunStreamServer(LineService* service, std::istream& in,
-                       std::ostream& out) {
-  ThreadPool pool(ThreadCount());
-  std::string line;
-  while (std::getline(in, line)) {
-    out << Dispatch(pool, *service, line);
-  }
-  out.flush();
-  pool.Wait();
-  return Status::OK();
-}
-
-namespace {
 
 /// One live client connection: its socket, its reader thread, and a flag the
 /// thread raises when it is finished and safe to join.
@@ -759,12 +697,17 @@ Status RunTcpServer(LineService* service, const ServeOptions& options) {
     sigaction(SIGHUP, &hup_action, &old_hup);
   }
 
+  // glibc gives each new thread its own malloc arena (up to 8 per core), and
+  // an arena keeps what is freed into it; capped at the thread count, memory
+  // follows ThreadCount() rather than the number of busy connections.
+  mallopt(M_ARENA_MAX,
+          static_cast<int>(std::min<size_t>(ThreadCount(), INT_MAX)));
+
   std::fprintf(log, "%s: listening on 127.0.0.1:%u (pid %ld)\n", options.name,
                bound_port, static_cast<long>(getpid()));
   std::fflush(log);
   if (options.on_listening) options.on_listening(bound_port);
 
-  ThreadPool pool(ThreadCount());
   std::atomic<bool> stopping{false};
   std::mutex conn_mu;
   std::vector<std::unique_ptr<Conn>> conns;  // guarded by conn_mu
@@ -833,6 +776,9 @@ Status RunTcpServer(LineService* service, const ServeOptions& options) {
     if (!at_capacity && (poll_fds[2].revents & POLLIN) != 0) {
       const int conn_fd = accept(listen_fd, nullptr, nullptr);
       if (conn_fd < 0) continue;
+      // Replies are written whole; without NODELAY a client that delays its
+      // ACKs would see each reply held back by Nagle's algorithm.
+      setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
       service->OnConnection();
       auto conn = std::make_unique<Conn>();
       Conn* raw = conn.get();
@@ -841,9 +787,12 @@ Status RunTcpServer(LineService* service, const ServeOptions& options) {
         std::lock_guard<std::mutex> lock(conn_mu);
         conns.push_back(std::move(conn));
       }
-      raw->thread = std::thread([&pool, service, &options, &stopping, &conn_mu,
+      raw->thread = std::thread([service, &options, &stopping, &conn_mu,
                                  conn_event_wr, raw] {
-        ConnectionLoop(raw->fd, pool, *service, options, stopping);
+        ConnectionLoop(raw->fd, *service, options, stopping);
+        // Before the close, so a client that reconnects on seeing EOF finds
+        // this thread's obs state ready for reuse.
+        ObsReleaseThreadState();
         // Close under the lock so the shutdown path never calls shutdown()
         // on an fd number that was already closed and reused.
         {
@@ -880,7 +829,6 @@ Status RunTcpServer(LineService* service, const ServeOptions& options) {
   for (const auto& conn : draining) {
     if (conn->thread.joinable()) conn->thread.join();
   }
-  pool.Wait();
 
   sigaction(SIGINT, &old_int, nullptr);
   sigaction(SIGTERM, &old_term, nullptr);

@@ -45,8 +45,8 @@ struct ServeStats {
 /// thread-safe line-in/response-out method plus the counters the drain
 /// banner prints. `lamo serve` implements it over one snapshot
 /// (SnapshotService); `lamo router` implements it over a backend cluster
-/// (RouterService) — both share the same connection, overload-protection
-/// and dispatch machinery below.
+/// (RouterService) — both share the connection and overload-protection
+/// machinery below, which calls Handle on the thread that read the line.
 class LineService {
  public:
   virtual ~LineService() = default;
@@ -159,10 +159,9 @@ class SnapshotService : public LineService {
 };
 
 /// One-shot stream mode (`lamo serve --stdin`): reads request lines from
-/// `in` until EOF, writes each response to `out`. Requests are dispatched
-/// onto the parallel runtime's thread pool exactly as in TCP mode, and
-/// responses keep request order, so output is deterministic for any thread
-/// count. Used by tests and the determinism guard.
+/// `in` until EOF and answers each on the calling thread, writing the
+/// responses to `out` in request order. Output is deterministic for any
+/// thread count. Used by tests and the determinism guard.
 Status RunStreamServer(LineService* service, std::istream& in,
                        std::ostream& out);
 
@@ -170,13 +169,13 @@ Status RunStreamServer(LineService* service, std::istream& in,
 /// disables" escape hatch so tests can exercise one guard at a time, but the
 /// CLI defaults are all armed: an abusive client (slowloris writer, oversized
 /// request line, half-closed socket, connection flood) costs a bounded amount
-/// of memory and one bounded-lifetime thread, never a hang.
+/// of memory and one thread whose lifetime ends when a guard fires.
 struct ServeOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port.
   uint16_t port = 0;
-  /// Per-request budget covering both the partial-line read (slowloris
-  /// guard) and the dispatch-to-response wait. Expiry sends
-  /// `ERR DeadlineExceeded ...` and closes the connection. 0 disables.
+  /// Slowloris guard: a request line still unfinished this long after its
+  /// first byte gets `ERR DeadlineExceeded ...` and a close. Handling a
+  /// complete line is not bounded here. 0 disables.
   uint64_t request_timeout_ms = 10'000;
   /// Idle reaper: a connection with no buffered partial line and no traffic
   /// for this long is closed silently. 0 disables.
@@ -185,7 +184,7 @@ struct ServeOptions {
   /// socket is removed from the poll set, so further clients queue in the
   /// kernel backlog instead of spawning threads. 0 means unlimited.
   size_t max_conns = 64;
-  /// A request line longer than this (no newline seen) gets
+  /// A request line longer than this, finished or not, gets
   /// `ERR InvalidArgument request line too long` and a close. Bounds
   /// per-connection buffer memory.
   size_t max_line_bytes = 64 * 1024;
@@ -208,12 +207,13 @@ struct ServeOptions {
 
 /// Long-lived TCP mode: binds 127.0.0.1:`options.port`, prints
 /// `listening on 127.0.0.1:<port>` to `options.log`, and serves concurrent
-/// connections — one reader thread per connection, each request dispatched
-/// onto the shared thread pool — until SIGINT or SIGTERM. Overload behavior
-/// (deadlines, idle reaping, line-length guard, accept backpressure) follows
-/// `options`; see ServeOptions. Shutdown is graceful: stop accepting,
-/// unblock readers, finish in-flight requests, join everything, then return
-/// OK so the CLI can flush --report/--trace.
+/// connections — one thread per connection, which reads each request line
+/// and answers it itself — until SIGINT or SIGTERM. Accepted sockets set
+/// TCP_NODELAY, and malloc arenas are capped at ThreadCount() for the
+/// process (M_ARENA_MAX). Overload behavior (line deadline, idle reaping, line-length
+/// guard, accept backpressure) follows `options`; see ServeOptions. Shutdown
+/// is graceful: stop accepting, unblock readers, finish in-flight requests,
+/// join everything, then return OK so the CLI can flush --report/--trace.
 Status RunTcpServer(LineService* service, const ServeOptions& options);
 
 }  // namespace lamo

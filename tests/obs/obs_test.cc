@@ -47,6 +47,21 @@ TEST(ObsTest, CountsAreMergedAcrossThreads) {
       << "registered counters must appear even when untouched";
 }
 
+TEST(ObsTest, ReleasedBlocksAreReusedAndTotalsStayExact) {
+  ObsSink sink;
+  SetObsSink(&sink);
+  for (int t = 0; t < 50; ++t) {
+    std::thread([] {
+      ObsIncrement(kTestCounter);
+      ObsReleaseThreadState();
+    }).join();
+  }
+  SetObsSink(nullptr);
+  EXPECT_EQ(sink.PerThreadCounters().size(), 1u)
+      << "threads that ran one after another share one block";
+  EXPECT_EQ(sink.CounterTotals().at("obs_test.widgets"), 50u);
+}
+
 TEST(ObsTest, SinkSwapIsolatesCounts) {
   ObsSink first;
   SetObsSink(&first);

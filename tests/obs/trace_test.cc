@@ -161,6 +161,27 @@ TEST(TraceTest, ThreadsGetSeparateRingsAndMetadata) {
   EXPECT_TRUE(thread_names.count("hammer0"));
 }
 
+TEST(TraceTest, ReleasedRingsAreReused) {
+  TraceCollector collector(/*events_per_thread=*/64);
+  SetTraceCollector(&collector);
+  for (int t = 0; t < 50; ++t) {
+    std::thread([t] {
+      ObsSetThreadName("conn" + std::to_string(t));
+      { const ScopedSpan span(kTestSpan); }
+      ObsReleaseThreadState();
+    }).join();
+  }
+  SetTraceCollector(nullptr);
+  EXPECT_EQ(collector.RecordedEvents(), 50u);
+  const JsonValue trace = Parse(collector);
+  std::set<double> tids;
+  for (const JsonValue* event : CompleteEvents(trace)) {
+    tids.insert(event->Find("tid")->number_value);
+  }
+  EXPECT_EQ(tids.size(), 1u) << "one ring serves every thread in turn";
+  EXPECT_EQ(CompleteEvents(trace).size(), 50u);
+}
+
 TEST(TraceTest, CollectorSwapIsolatesRings) {
   TraceCollector first;
   SetTraceCollector(&first);

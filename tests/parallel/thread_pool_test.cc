@@ -1,7 +1,6 @@
 #include "parallel/thread_pool.h"
 
 #include <atomic>
-#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -17,11 +16,12 @@ TEST(ThreadPoolTest, StartupAndShutdownIdle) {
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
   std::atomic<int> counter{0};
-  ThreadPool pool(4);
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // destruction drains the queue and joins the workers
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -47,42 +47,17 @@ TEST(ThreadPoolTest, ZeroWorkersRunsTasksAtDestruction) {
   EXPECT_EQ(counter.load(), 2);
 }
 
-TEST(ThreadPoolTest, WaitRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  pool.Submit([] { throw std::runtime_error("task failed"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&completed] { completed.fetch_add(1); });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // Tasks after the throwing one still ran.
-  EXPECT_EQ(completed.load(), 10);
-  // The error was consumed: a second Wait is clean.
-  pool.Wait();
-}
-
 TEST(ThreadPoolTest, InWorkerTrueOnlyOnWorkerThreads) {
   EXPECT_FALSE(ThreadPool::InWorker());
   std::atomic<bool> saw_worker_flag{false};
-  ThreadPool pool(2);
-  pool.Submit([&saw_worker_flag] {
-    saw_worker_flag.store(ThreadPool::InWorker());
-  });
-  pool.Wait();
+  {
+    ThreadPool pool(2);
+    pool.Submit([&saw_worker_flag] {
+      saw_worker_flag.store(ThreadPool::InWorker());
+    });
+  }
   EXPECT_TRUE(saw_worker_flag.load());
   EXPECT_FALSE(ThreadPool::InWorker());
-}
-
-TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
-  std::atomic<int> counter{0};
-  ThreadPool pool(3);
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), (batch + 1) * 20);
-  }
 }
 
 }  // namespace

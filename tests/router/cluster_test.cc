@@ -3,21 +3,27 @@
 // RouterService, and compare every answer byte-for-byte against an
 // in-process SnapshotService over the same snapshot. Includes the
 // backend-death drill: SIGKILL a backend mid-burst and require every request
-// to still be answered correctly through the respawn window.
+// to still be answered correctly through the respawn window, and the
+// hung-backend drill: SIGSTOP a backend and require its requests to fail
+// within the retry budget while the other shard keeps answering.
 #include "router/cluster.h"
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/wait.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "parallel/parallel_for.h"
 #include "router/router.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "../serve/serve_test_util.h"
+#include "../serve/tcp_test_util.h"
 
 namespace lamo {
 namespace {
@@ -162,6 +168,50 @@ TEST_F(RouterClusterTest, BackendDeathMidBurstLosesNoRequests) {
   EXPECT_GE(cluster.backend(0).respawns(), 1u);
   EXPECT_GE(router.stats().retries.load(), 1u);
   EXPECT_EQ(router.stats().errors.load(), 0u);
+  cluster.Stop();
+}
+
+TEST_F(RouterClusterTest, HungBackendFailsWithinRetryBudget) {
+  // One thread, as the benchmark runs the router: the request stuck on the
+  // stopped shard must not hold the other shard's traffic either.
+  SetThreadCount(1);
+  ClusterOptions options = Options(2, /*sharded=*/true);
+  options.retry_deadline_ms = 1000;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  RouterService router(&cluster, /*sharded=*/true);
+  SnapshotService local(TestSnapshot());
+  {
+    TestServer server(ServeOptions(), &router);
+    // Protein 0 lives on shard 0, protein 1 on shard 1. Warm shard 0's
+    // pooled connection first so the stuck request reuses it.
+    Client stuck(server.port());
+    stuck.Send("PREDICT 0 3\n");
+    EXPECT_EQ(stuck.RecvResponse(), local.Handle("PREDICT 0 3"));
+
+    const pid_t victim = cluster.backend(0).pid();
+    ASSERT_EQ(kill(victim, SIGSTOP), 0);
+    // SIGSTOP lands asynchronously; wait until every backend thread stopped.
+    int wait_status = 0;
+    ASSERT_EQ(waitpid(victim, &wait_status, WUNTRACED), victim);
+    ASSERT_TRUE(WIFSTOPPED(wait_status));
+    const auto start = std::chrono::steady_clock::now();
+    stuck.Send("PREDICT 2 3\n");
+    // While that request waits on the stopped backend, another connection
+    // is answered by the live shard.
+    Client other(server.port());
+    other.Send("PREDICT 1 3\n");
+    EXPECT_EQ(other.RecvResponse(), local.Handle("PREDICT 1 3"));
+    const std::string error = stuck.RecvResponse();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(error.rfind("ERR DeadlineExceeded backend 0", 0), 0u) << error;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(1000 + 2000));
+    // The stuck request's connection still serves the live shard.
+    stuck.Send("PREDICT 1 3\n");
+    EXPECT_EQ(stuck.RecvResponse(), local.Handle("PREDICT 1 3"));
+    ASSERT_EQ(kill(victim, SIGCONT), 0);
+  }
+  SetThreadCount(0);
   cluster.Stop();
 }
 

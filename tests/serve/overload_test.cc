@@ -2,127 +2,26 @@
 // slowloris writer, an oversized request line, a half-closed socket, an
 // idle connection, and a connection burst past max_conns each get the
 // documented protocol error (or a clean disconnect) within the configured
-// deadline — and the server still drains and returns OK afterwards.
-#include <arpa/inet.h>
+// deadline — and the server still drains and returns OK afterwards. Also
+// pins the threading model those guards rely on: each connection's thread
+// answers its own requests, so one stuck request never blocks another
+// connection, and per-thread obs state is reused across connections.
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
-#include <cstring>
 #include <mutex>
 #include <string>
-#include <thread>
 
+#include "obs/obs.h"
+#include "parallel/parallel_for.h"
 #include "serve/server.h"
-#include "serve_test_util.h"
+#include "tcp_test_util.h"
 #include "util/status.h"
 
 namespace lamo {
 namespace {
-
-/// Runs RunTcpServer on a background thread with the given options and an
-/// ephemeral port, and shuts it down with SIGTERM on destruction (the same
-/// signal production uses), asserting the server drained cleanly.
-class TestServer {
- public:
-  explicit TestServer(ServeOptions options)
-      : service_(Snapshot(TestSnapshot())) {
-    options.port = 0;
-    options.on_listening = [this](uint16_t port) {
-      std::lock_guard<std::mutex> lock(mu_);
-      port_ = port;
-      cv_.notify_all();
-    };
-    log_ = std::tmpfile();  // keep listening/drained banners out of the log
-    options.log = log_;
-    thread_ = std::thread(
-        [this, options] { status_ = RunTcpServer(&service_, options); });
-    std::unique_lock<std::mutex> lock(mu_);
-    EXPECT_TRUE(cv_.wait_for(lock, std::chrono::seconds(10),
-                             [this] { return port_ != 0; }))
-        << "server did not start listening";
-  }
-
-  ~TestServer() {
-    raise(SIGTERM);
-    thread_.join();
-    EXPECT_TRUE(status_.ok()) << status_.ToString();
-    if (log_ != nullptr) std::fclose(log_);
-  }
-
-  uint16_t port() const { return port_; }
-  SnapshotService& service() { return service_; }
-
- private:
-  SnapshotService service_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  uint16_t port_ = 0;
-  std::thread thread_;
-  Status status_;
-  std::FILE* log_ = nullptr;
-};
-
-/// A blocking client socket with a receive timeout, so a server that wrongly
-/// hangs fails the test instead of wedging the suite.
-class Client {
- public:
-  explicit Client(uint16_t port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    timeval timeout{10, 0};
-    setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    EXPECT_EQ(
-        connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
-        0)
-        << std::strerror(errno);
-  }
-  ~Client() {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  void Send(const std::string& bytes) {
-    ASSERT_EQ(send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(bytes.size()));
-  }
-
-  void HalfClose() { shutdown(fd_, SHUT_WR); }
-
-  /// Reads until EOF (server closed) or the socket timeout; returns all
-  /// bytes received.
-  std::string RecvUntilClose() {
-    std::string received;
-    char chunk[4096];
-    while (true) {
-      const ssize_t n = recv(fd_, chunk, sizeof chunk, 0);
-      if (n <= 0) break;
-      received.append(chunk, static_cast<size_t>(n));
-    }
-    return received;
-  }
-
-  /// Reads one '\n'-terminated line (blocking, bounded by the timeout).
-  std::string RecvLine() {
-    std::string line;
-    char c;
-    while (recv(fd_, &c, 1, 0) == 1) {
-      line.push_back(c);
-      if (c == '\n') break;
-    }
-    return line;
-  }
-
- private:
-  int fd_ = -1;
-};
 
 TEST(OverloadTest, NormalRequestStillWorks) {
   ServeOptions options;
@@ -160,6 +59,18 @@ TEST(OverloadTest, OversizedRequestLineGetsProtocolError) {
       << response;
   EXPECT_NE(response.find("request line too long"), std::string::npos)
       << response;
+}
+
+TEST(OverloadTest, OversizedLineWithItsNewlineGetsProtocolError) {
+  ServeOptions options;
+  options.max_line_bytes = 1024;
+  TestServer server(options);
+  Client client(server.port());
+  // The whole overlong line, newline included, arrives in one piece.
+  client.Send("HEALTH " + std::string(3000, 'x') + "\n");
+  const std::string response = client.RecvUntilClose();
+  EXPECT_EQ(response,
+            "ERR InvalidArgument request line too long\n");
 }
 
 TEST(OverloadTest, IdleConnectionIsReaped) {
@@ -225,6 +136,95 @@ TEST(OverloadTest, ServerDrainsWithAbusersStillConnected) {
   // OK — with the abuser's connection still open.
   server.reset();
   EXPECT_EQ(abuser.RecvUntilClose().find("OK"), std::string::npos);
+}
+
+/// A LineService whose `WAIT` request blocks until a `GO` request arrives
+/// (on any connection). `WAIT` gives up after 10 s so a server that queues
+/// GO behind it fails the test instead of wedging the suite.
+class RendezvousService : public LineService {
+ public:
+  std::string Handle(const std::string& line) override {
+    requests_.fetch_add(1);
+    std::unique_lock<std::mutex> lock(mu_);
+    if (line == "GO") {
+      go_ = true;
+      cv_.notify_all();
+      return FormatOkResponse({"go"});
+    }
+    waiting_ = true;
+    cv_.notify_all();
+    const bool released =
+        cv_.wait_for(lock, std::chrono::seconds(10), [this] { return go_; });
+    return released ? FormatOkResponse({"released"})
+                    : FormatErrorResponse(Status::DeadlineExceeded("no GO"));
+  }
+
+  /// Blocks until a WAIT request is being handled.
+  void AwaitWaiting() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(10), [this] { return waiting_; });
+  }
+
+  uint64_t TotalRequests() const override { return requests_.load(); }
+  uint64_t TotalConnections() const override { return 0; }
+
+ private:
+  std::atomic<uint64_t> requests_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool waiting_ = false;  // guarded by mu_
+  bool go_ = false;       // guarded by mu_
+};
+
+TEST(ConnectionThreadTest, BlockedRequestDoesNotHoldOtherConnections) {
+  // One thread, as the benchmark runs the router: a pending request on one
+  // connection must not delay a request on another.
+  SetThreadCount(1);
+  RendezvousService service;
+  {
+    TestServer server(ServeOptions(), &service);
+    Client waiter(server.port());
+    waiter.Send("WAIT\n");
+    service.AwaitWaiting();
+    const auto start = std::chrono::steady_clock::now();
+    Client releaser(server.port());
+    releaser.Send("GO\n");
+    EXPECT_EQ(releaser.RecvLine(), "OK 1\n");
+    EXPECT_EQ(releaser.RecvLine(), "go\n");
+    EXPECT_EQ(waiter.RecvLine(), "OK 1\n");
+    EXPECT_EQ(waiter.RecvLine(), "released\n");
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+  }
+  SetThreadCount(0);
+}
+
+TEST(ConnectionThreadTest, ObsStateStaysBoundedAcrossConnections) {
+  TestSnapshot();  // built before the sink, so only serving is counted
+  ObsSink sink;
+  SetObsSink(&sink);
+  {
+    ServeOptions options;
+    options.max_line_bytes = 1024;
+    TestServer server(options);
+    for (int i = 0; i < 200; ++i) {
+      Client client(server.port());
+      // HEALTH, then an overlong tail: the guard fires on the connection's
+      // own thread, so every connection thread records.
+      client.Send("HEALTH\n" + std::string(2000, 'x'));
+      const std::string response = client.RecvUntilClose();
+      ASSERT_EQ(response.rfind("OK 1\nready ", 0), 0u) << response;
+      ASSERT_NE(response.find("ERR InvalidArgument request line too long"),
+                std::string::npos)
+          << response;
+    }
+  }
+  SetObsSink(nullptr);
+  EXPECT_LT(sink.PerThreadCounters().size(), 10u);
+  const auto totals = sink.CounterTotals();
+  EXPECT_EQ(totals.at("serve.requests"), 200u);
+  EXPECT_EQ(totals.at("serve.overlong_lines"), 200u);
+  EXPECT_EQ(totals.at("serve.connections"), 200u);
 }
 
 }  // namespace

@@ -606,6 +606,21 @@ StatusOr<std::unique_ptr<AccessLog>> OpenAccessLog(const Flags& flags) {
   return AccessLog::Open(options);
 }
 
+/// The TCP front's flags, shared by serve and router.
+ServeOptions ServeOptionsFromFlags(const Flags& flags) {
+  ServeOptions options;
+  options.port = static_cast<uint16_t>(flags.GetSize("port", 0));
+  options.request_timeout_ms =
+      flags.GetSize("request-timeout-ms", options.request_timeout_ms);
+  options.idle_timeout_ms =
+      flags.GetSize("idle-timeout-ms", options.idle_timeout_ms);
+  options.max_conns = flags.GetSize("max-conns", options.max_conns);
+  options.max_line_bytes =
+      flags.GetSize("max-line-bytes", options.max_line_bytes);
+  options.log = stdout;
+  return options;
+}
+
 int CmdServe(const Flags& flags) {
   ApplyThreadFlag(flags);
   // Always collect: the METRICS verb reads the process-wide sink, and
@@ -714,17 +729,7 @@ int CmdServe(const Flags& flags) {
   if (flags.Has("stdin")) {
     status = RunStreamServer(&service, std::cin, std::cout);
   } else {
-    ServeOptions options;
-    options.port = static_cast<uint16_t>(flags.GetSize("port", 0));
-    options.request_timeout_ms =
-        flags.GetSize("request-timeout-ms", options.request_timeout_ms);
-    options.idle_timeout_ms =
-        flags.GetSize("idle-timeout-ms", options.idle_timeout_ms);
-    options.max_conns = flags.GetSize("max-conns", options.max_conns);
-    options.max_line_bytes =
-        flags.GetSize("max-line-bytes", options.max_line_bytes);
-    options.log = stdout;
-    status = RunTcpServer(&service, options);
+    status = RunTcpServer(&service, ServeOptionsFromFlags(flags));
   }
   if (watcher.joinable()) {
     watch_stop.store(true, std::memory_order_release);
@@ -819,20 +824,9 @@ int CmdRouter(const Flags& flags) {
   auto access_log = OpenAccessLog(flags);
   if (!access_log.ok()) return Fail(access_log.status());
   if (*access_log != nullptr) service.set_access_log(access_log->get());
-  ServeOptions options;
-  options.port = static_cast<uint16_t>(flags.GetSize("port", 0));
-  // The router's own budget must exceed the backend retry deadline, or a
-  // request waiting out a backend respawn times out client-side just
-  // before it would have been answered.
-  options.request_timeout_ms = flags.GetSize("request-timeout-ms", 30'000);
-  options.idle_timeout_ms =
-      flags.GetSize("idle-timeout-ms", options.idle_timeout_ms);
-  options.max_conns = flags.GetSize("max-conns", options.max_conns);
-  options.max_line_bytes =
-      flags.GetSize("max-line-bytes", options.max_line_bytes);
+  ServeOptions options = ServeOptionsFromFlags(flags);
   options.name = "lamo router";
   options.on_sighup = [&service] { service.ReloadAsync(); };
-  options.log = stdout;
 
   std::optional<ScopedTimer> serve_timer;
   serve_timer.emplace("router");
@@ -895,8 +889,8 @@ int Usage() {
       "checkpoints (every --checkpoint-every N chunks/replicates/motifs, see\n"
       "docs/FORMATS.md), and --resume restarts from the newest valid\n"
       "checkpoint; a resumed run produces byte-identical output. The serve\n"
-      "daemon sheds abusive clients: requests and unfinished request lines\n"
-      "past --request-timeout-ms get ERR DeadlineExceeded, silent\n"
+      "daemon runs a thread per connection and sheds abusive clients: lines\n"
+      "unfinished past --request-timeout-ms get ERR DeadlineExceeded, silent\n"
       "connections past --idle-timeout-ms are reaped, request lines over\n"
       "--max-line-bytes get ERR InvalidArgument, and past --max-conns live\n"
       "connections new clients wait in the TCP backlog (0 disables each).\n"
@@ -930,8 +924,9 @@ int Usage() {
       "FILE.lamosnap.shard<i>ofN files and --mode sharded routes by\n"
       "protein id; --mode replicated puts whole snapshots behind\n"
       "consistent hashing with least-loaded failover. Dead backends are\n"
-      "respawned, and `RELOAD PATH` (or SIGHUP) rolls every backend onto a\n"
-      "new snapshot one at a time without failing in-flight requests;\n"
+      "respawned, a hung one costs a request --retry-deadline-ms and an ERR,\n"
+      "and `RELOAD PATH` (or SIGHUP) rolls every backend onto a new\n"
+      "snapshot one at a time without failing in-flight requests;\n"
       "aggregated HEALTH/STATS report per-backend snapshot checksums. The\n"
       "router stamps each forwarded query with a `#<id>` request-ID token\n"
       "so router and backend access logs correlate; METRICS on the router\n"
