@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
+#include "motif/esu_engine.h"
+#include "util/logging.h"
+
 namespace lamo {
 
 size_t PairBitIndex(size_t i, size_t j, size_t k) {
@@ -35,104 +38,28 @@ bool MaskConnected(uint64_t bits, size_t k) {
   return visited == all;
 }
 
-namespace {
-
-/// Recursive pair-anchored extension. `sub` holds the current subgraph
-/// vertices in insertion order ({u, v} first); `ext` is the candidate list;
-/// `forbidden` is the sorted union of sub and all neighbors of sub at the
-/// time each vertex joined (Wernicke's exclusive-neighborhood rule).
-struct PairEsu {
-  const GraphIndex& index;
-  VertexId anchor_u, anchor_v;
-  size_t k;
-  std::vector<PairSubgraph>* out;
-  std::vector<VertexId> sub;
-  std::vector<VertexId> sorted_verts;
-
-  bool Forbidden(const std::vector<VertexId>& forbidden, VertexId w) const {
-    return std::binary_search(forbidden.begin(), forbidden.end(), w);
-  }
-
-  void Emit() {
-    sorted_verts.assign(sub.begin(), sub.end());
-    std::sort(sorted_verts.begin(), sorted_verts.end());
-    PairSubgraph ps;
-    ps.verts = sorted_verts;
-    ps.bits_with = index.InducedBits(sorted_verts.data(), k);
-    // Position of the anchor pair within the sorted set.
-    const size_t pu = static_cast<size_t>(
-        std::lower_bound(sorted_verts.begin(), sorted_verts.end(),
-                         std::min(anchor_u, anchor_v)) -
-        sorted_verts.begin());
-    const size_t pv = static_cast<size_t>(
-        std::lower_bound(sorted_verts.begin(), sorted_verts.end(),
-                         std::max(anchor_u, anchor_v)) -
-        sorted_verts.begin());
-    const uint64_t pair_bit = uint64_t{1} << PairBitIndex(pu, pv, k);
-    ps.bits_without = ps.bits_with & ~pair_bit;
-    ps.connected_without = k > 2 && MaskConnected(ps.bits_without, k);
-    out->push_back(std::move(ps));
-  }
-
-  void Extend(std::vector<VertexId> ext, std::vector<VertexId> forbidden) {
-    if (sub.size() == k) {
-      Emit();
-      return;
-    }
-    while (!ext.empty()) {
-      const VertexId w = ext.back();
-      ext.pop_back();
-      std::vector<VertexId> next_ext = ext;
-      std::vector<VertexId> next_forbidden = forbidden;
-      // Exclusive neighbors of w extend the candidate pool; everything in
-      // w's neighborhood becomes forbidden for deeper levels either way.
-      for (const VertexId x : index.Neighbors(w)) {
-        if (!Forbidden(forbidden, x)) {
-          next_ext.push_back(x);
-          next_forbidden.insert(
-              std::lower_bound(next_forbidden.begin(), next_forbidden.end(),
-                               x),
-              x);
-        }
-      }
-      sub.push_back(w);
-      Extend(std::move(next_ext), std::move(next_forbidden));
-      sub.pop_back();
-    }
-  }
-};
-
-}  // namespace
-
 void EnumeratePairSubgraphs(const GraphIndex& index, VertexId u, VertexId v,
                             size_t k, std::vector<PairSubgraph>* out) {
   out->clear();
-  assert(k >= 2 && k <= GraphIndex::kMaxInducedBitsVertices);
-  assert(index.HasEdge(u, v));
-  if (k == 2) {
+  LAMO_CHECK_LE(k, GraphIndex::kMaxInducedBitsVertices);
+  const VertexId lo = std::min(u, v);
+  const VertexId hi = std::max(u, v);
+  const auto emit = [&](const VertexId* set, size_t size) {
     PairSubgraph ps;
-    ps.verts = {std::min(u, v), std::max(u, v)};
-    ps.bits_with = 1;
-    ps.bits_without = 0;
-    ps.connected_without = false;
+    ps.verts.assign(set, set + size);
+    ps.bits_with = index.InducedBits(set, size);
+    // Position of the anchor pair within the ascending set.
+    const size_t pu =
+        static_cast<size_t>(std::lower_bound(set, set + size, lo) - set);
+    const size_t pv =
+        static_cast<size_t>(std::lower_bound(set, set + size, hi) - set);
+    ps.bits_without = ps.bits_with & ~(uint64_t{1} << PairBitIndex(pu, pv, k));
+    ps.connected_without = k > 2 && MaskConnected(ps.bits_without, k);
     out->push_back(std::move(ps));
-    return;
-  }
-  PairEsu esu{index, u, v, k, out, {}, {}};
-  esu.sub = {u, v};
-  // Seed forbidden = {u, v} ∪ N(u) ∪ N(v); seed ext = (N(u) ∪ N(v)) \ {u, v}.
-  std::vector<VertexId> forbidden = {std::min(u, v), std::max(u, v)};
-  std::vector<VertexId> ext;
-  for (const VertexId seed : {u, v}) {
-    for (const VertexId x : index.Neighbors(seed)) {
-      if (!esu.Forbidden(forbidden, x)) {
-        ext.push_back(x);
-        forbidden.insert(
-            std::lower_bound(forbidden.begin(), forbidden.end(), x), x);
-      }
-    }
-  }
-  esu.Extend(std::move(ext), std::move(forbidden));
+    return true;
+  };
+  esu_internal::Engine<decltype(emit)> engine(index, k, emit);
+  engine.RunPair(u, v);
 }
 
 }  // namespace lamo

@@ -17,8 +17,9 @@ namespace lamo {
 /// (k-1)-hop neighborhood around the edge (Berg & Lässig's locality argument)
 /// and diffs the pattern each touched set induces with and without the edge.
 ///
-/// EnumeratePairSubgraphs does that re-enumeration: an ESU walk whose seed is
-/// the fixed two-vertex set {u, v} instead of a single root. Wernicke's
+/// EnumeratePairSubgraphs does that re-enumeration on the one ESU engine
+/// (esu_internal::Engine::RunPair in motif/esu_engine.h): a walk whose seed
+/// is the fixed two-vertex set {u, v} instead of a single root. Wernicke's
 /// exclusive-neighborhood invariant (a vertex becomes a candidate exactly
 /// once, when the first subgraph vertex adjacent to it joins) carries over to
 /// any connected seed, so every connected k-superset of {u, v} is emitted
@@ -47,9 +48,10 @@ struct PairSubgraph {
 };
 
 /// Appends to `*out` (cleared first) every connected k-vertex set of `index`
-/// containing both `u` and `v`, in deterministic order. `index` must contain
-/// the edge {u, v}; 2 <= k <= GraphIndex::kMaxInducedBitsVertices. Works on
-/// dense and CSR-only indexes (neighbor lists only).
+/// containing both `u` and `v`, in the engine's emission order (seed
+/// candidates N(u) ∪ N(v) ascending, then extension-stack order) — the same
+/// sequence on dense and CSR-only indexes. Checks (LAMO_CHECK) that `index`
+/// contains the edge {u, v} and 2 <= k <= GraphIndex::kMaxInducedBitsVertices.
 void EnumeratePairSubgraphs(const GraphIndex& index, VertexId u, VertexId v,
                             size_t k, std::vector<PairSubgraph>* out);
 

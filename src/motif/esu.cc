@@ -30,98 +30,6 @@ const size_t kObsChunkWallUs = ObsCounterId("esu.chunk_wall_us");
 const size_t kHistChunkUs = ObsHistogramId("esu.chunk_us");
 const size_t kSpanChunk = ObsSpanId("esu.chunk");
 
-// The original recursive ESU walk over Graph adjacency (binary-search
-// HasEdge probes, one vector copy per tree node). Retained for two callers
-// only: RAND-ESU sampling (`depth_probability` non-null), where the
-// per-branch coin flips dominate anyway, and the test-only legacy hook the
-// differential battery diffs the index engine against.
-class EsuEnumerator {
- public:
-  EsuEnumerator(const Graph& g, size_t k,
-                const std::function<bool(const std::vector<VertexId>&)>& cb,
-                const std::vector<double>* depth_probability, Rng* rng)
-      : g_(g), k_(k), callback_(cb), probabilities_(depth_probability),
-        rng_(rng) {}
-
-  void Run() { RunRoots(0, static_cast<VertexId>(g_.num_vertices())); }
-
-  // ESU roots every vertex set at its minimum vertex (extensions only grow
-  // upward), so restricting the root range partitions the enumeration.
-  void RunRoots(VertexId root_begin, VertexId root_end) {
-    if (k_ == 0 || k_ > g_.num_vertices()) return;
-    root_end = std::min(root_end, static_cast<VertexId>(g_.num_vertices()));
-    std::vector<VertexId> subgraph;
-    std::vector<VertexId> extension;
-    for (VertexId v = root_begin; v < root_end; ++v) {
-      if (!Explore(0)) continue;  // depth-0 sampling decision per root
-      subgraph.assign(1, v);
-      extension.clear();
-      for (VertexId u : g_.Neighbors(v)) {
-        if (u > v) extension.push_back(u);
-      }
-      if (!Extend(v, subgraph, extension)) return;
-    }
-  }
-
- private:
-  // Returns true if this branch should be explored (always true when
-  // exhaustive).
-  bool Explore(size_t depth) {
-    if (probabilities_ == nullptr) return true;
-    const double p = (*probabilities_)[depth];
-    if (p >= 1.0) return true;
-    return rng_->Bernoulli(p);
-  }
-
-  // Returns false iff enumeration must stop entirely (callback abort).
-  bool Extend(VertexId root, std::vector<VertexId>& subgraph,
-              const std::vector<VertexId>& extension) {
-    if (subgraph.size() == k_) {
-      std::vector<VertexId> sorted = subgraph;
-      std::sort(sorted.begin(), sorted.end());
-      return callback_(sorted);
-    }
-    // Try each extension vertex in turn; ESU's exclusive-neighborhood rule
-    // guarantees each vertex set is generated exactly once.
-    for (size_t i = 0; i < extension.size(); ++i) {
-      if (!Explore(subgraph.size())) continue;
-      const VertexId w = extension[i];
-      std::vector<VertexId> next_extension(extension.begin() + i + 1,
-                                           extension.end());
-      // Add exclusive neighbors of w: neighbors > root that are neither in
-      // the subgraph nor adjacent to it.
-      for (VertexId u : g_.Neighbors(w)) {
-        if (u <= root) continue;
-        if (std::find(subgraph.begin(), subgraph.end(), u) != subgraph.end())
-          continue;
-        bool adjacent_to_subgraph = false;
-        for (VertexId s : subgraph) {
-          if (g_.HasEdge(u, s)) {
-            adjacent_to_subgraph = true;
-            break;
-          }
-        }
-        if (adjacent_to_subgraph) continue;
-        if (std::find(next_extension.begin(), next_extension.end(), u) ==
-            next_extension.end()) {
-          next_extension.push_back(u);
-        }
-      }
-      subgraph.push_back(w);
-      const bool keep_going = Extend(root, subgraph, next_extension);
-      subgraph.pop_back();
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
-  const Graph& g_;
-  size_t k_;
-  const std::function<bool(const std::vector<VertexId>&)>& callback_;
-  const std::vector<double>* probabilities_;
-  Rng* rng_;
-};
-
 /// Chunk-local memo from raw adjacency bytes of an induced subgraph to its
 /// canonical code, for sizes past SharedCanonCache::kMaxK (whose patterns
 /// no longer fit a 64-bit key). Chunk-local by design: no sharing, no
@@ -182,39 +90,13 @@ void EnumerateConnectedSubgraphs(
     const Graph& g, size_t k,
     const std::function<bool(const std::vector<VertexId>&)>& callback) {
   const GraphIndex index(g);
-  EnumerateConnectedSubgraphsInRootRange(
-      index, k, 0, static_cast<VertexId>(g.num_vertices()), callback);
-}
-
-void EnumerateConnectedSubgraphsInRootRange(
-    const Graph& g, size_t k, VertexId root_begin, VertexId root_end,
-    const std::function<bool(const std::vector<VertexId>&)>& callback) {
-  const GraphIndex index(g);
-  EnumerateConnectedSubgraphsInRootRange(index, k, root_begin, root_end,
-                                         callback);
-}
-
-void EnumerateConnectedSubgraphsInRootRange(
-    const GraphIndex& index, size_t k, VertexId root_begin, VertexId root_end,
-    const std::function<bool(const std::vector<VertexId>&)>& callback) {
   std::vector<VertexId> scratch;
-  esu_internal::RunEsu(index, k, root_begin, root_end,
+  esu_internal::RunEsu(index, k, 0, static_cast<VertexId>(g.num_vertices()),
                        [&](const VertexId* set, size_t size) {
                          scratch.assign(set, set + size);
                          return callback(scratch);
                        });
 }
-
-namespace internal {
-
-void EnumerateConnectedSubgraphsLegacy(
-    const Graph& g, size_t k,
-    const std::function<bool(const std::vector<VertexId>&)>& callback) {
-  EsuEnumerator enumerator(g, k, callback, nullptr, nullptr);
-  enumerator.Run();
-}
-
-}  // namespace internal
 
 size_t EsuRootGrain(size_t num_vertices) {
   // Many small chunks: per-root costs are heavily skewed (hub roots dominate)
@@ -302,17 +184,26 @@ SampledSubgraphCounts SampleSubgraphClasses(
   LAMO_CHECK_GT(sample_probability, 0.0);
   const double inverse = 1.0 / sample_probability;
 
+  // RAND-ESU's per-depth coin flips, drawn once per root (depth 0) and once
+  // per extension candidate; a certain branch (p >= 1) draws nothing.
+  const auto explore = [&](size_t depth) {
+    const double p = probabilities[depth];
+    return p >= 1.0 || rng.Bernoulli(p);
+  };
   SampledSubgraphCounts result;
-  std::function<bool(const std::vector<VertexId>&)> cb =
-      [&](const std::vector<VertexId>& set) {
-        const SmallGraph sub = SmallGraph::InducedSubgraph(g, set);
-        result.estimated_counts[CanonicalCode(sub)] += inverse;
-        result.estimated_total += inverse;
-        ++result.samples;
-        return true;
-      };
-  EsuEnumerator enumerator(g, k, cb, &probabilities, &rng);
-  enumerator.Run();
+  std::vector<VertexId> set;
+  const auto emit = [&](const VertexId* verts, size_t size) {
+    set.assign(verts, verts + size);
+    const SmallGraph sub = SmallGraph::InducedSubgraph(g, set);
+    result.estimated_counts[CanonicalCode(sub)] += inverse;
+    result.estimated_total += inverse;
+    ++result.samples;
+    return true;
+  };
+  const GraphIndex index(g);
+  esu_internal::Engine<decltype(emit), decltype(explore)> engine(
+      index, k, emit, explore);
+  engine.RunRoots(0, static_cast<VertexId>(g.num_vertices()));
   return result;
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/graph_index.h"
 #include "graph/small_graph.h"
 #include "motif/canon_cache.h"
 #include "util/random.h"
@@ -20,27 +19,10 @@ namespace lamo {
 /// ESU is the exhaustive ground truth we cross-check the level-wise
 /// NeMoFinder-style miner against (practical for k <= ~6 on PPI-scale
 /// networks). Runs on the index-centric engine (a GraphIndex is built
-/// internally); use the GraphIndex overload below to amortize the index
-/// across many calls.
+/// internally); hot paths that reuse one index call esu_internal::RunEsu
+/// (motif/esu_engine.h) directly.
 void EnumerateConnectedSubgraphs(
     const Graph& g, size_t k,
-    const std::function<bool(const std::vector<VertexId>&)>& callback);
-
-/// Enumerates only the connected size-k sets whose minimum vertex (ESU's
-/// "root") lies in [root_begin, root_end). Every set is rooted at exactly
-/// one vertex, so disjoint root ranges partition the full enumeration; this
-/// is the sharding axis of the parallel pipelines (parallel/parallel_for.h).
-/// Within a range, sets are emitted in the same order as the full-range
-/// call.
-void EnumerateConnectedSubgraphsInRootRange(
-    const Graph& g, size_t k, VertexId root_begin, VertexId root_end,
-    const std::function<bool(const std::vector<VertexId>&)>& callback);
-
-/// Same enumeration over a prebuilt GraphIndex — the form the mining hot
-/// paths use: build the index once at load, run every chunk (and, in tests,
-/// the sparse fallback) against it without rebuilding.
-void EnumerateConnectedSubgraphsInRootRange(
-    const GraphIndex& index, size_t k, VertexId root_begin, VertexId root_end,
     const std::function<bool(const std::vector<VertexId>&)>& callback);
 
 /// The root-range chunk size the parallel ESU pipelines use for a graph of
@@ -64,24 +46,13 @@ std::map<std::vector<uint8_t>, size_t> CountSubgraphClasses(const Graph& g,
 std::map<std::vector<uint8_t>, size_t> CountSubgraphClasses(
     const Graph& g, size_t k, SharedCanonCache* shared_canon);
 
-namespace internal {
-
-/// Test-only hook: the pre-index, pointer-chasing ESU walk (adjacency
-/// probes through Graph::HasEdge, per-node vector copies). Kept solely so
-/// the differential battery can diff the index-centric engine against the
-/// original in-process; production paths never call it.
-void EnumerateConnectedSubgraphsLegacy(
-    const Graph& g, size_t k,
-    const std::function<bool(const std::vector<VertexId>&)>& callback);
-
-}  // namespace internal
-
 /// RAND-ESU (Wernicke): each branch of the ESU tree is explored with the
 /// per-depth probability from `probabilities` (size k; product = sampling
 /// fraction). Unbiased estimates of subgraph-class *concentrations* are
 /// obtained by weighting each sample by 1/P(sampled). This is the
 /// mfinder-style sampling estimator of Kashtan et al. (2004) in its
-/// corrected ESU form.
+/// corrected ESU form. Runs on the index engine with a coin-flip Explore
+/// policy; the RNG draw sequence depends only on (g, k, probabilities).
 struct SampledSubgraphCounts {
   /// Estimated total number of connected size-k sets.
   double estimated_total = 0;

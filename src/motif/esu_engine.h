@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -13,13 +14,21 @@
 namespace lamo {
 namespace esu_internal {
 
-/// Allocation-free ESU walk over a GraphIndex — the index-centric successor
-/// of the pointer-chasing EsuEnumerator in esu.cc (kept there as the
-/// legacy reference the differential battery diffs against). Same recursion
-/// tree, same emission order, zero heap traffic per tree node:
+/// The exhaustive Explore policy of Engine: every branch is explored.
+struct ExploreAll {
+  bool operator()(size_t /*depth*/) const { return true; }
+};
+
+/// The one ESU walk (Wernicke's algorithm) in this codebase, over a
+/// GraphIndex. Every connected-subgraph enumeration runs on it: exhaustive
+/// class counting and motif finding (RunEsu over root ranges), RAND-ESU
+/// sampling (an Explore policy that flips the per-depth coins), graphlet
+/// degree signatures (one RunEsu pass per size), and the pair-anchored
+/// re-enumeration behind live edge updates (RunPair). Zero heap traffic per
+/// tree node:
 ///
-///  * the per-node `next_extension` vector copies become appends to one
-///    flat extension stack addressed by (begin, end) index frames;
+///  * candidate lists are appends to one flat extension stack addressed by
+///    (begin, end) index frames, not per-node vector copies;
 ///  * the exclusive-neighborhood test "u is in, or adjacent to, the current
 ///    subgraph" becomes a single bit probe into a per-depth *forbidden*
 ///    bitset (subgraph ∪ N(subgraph)), maintained incrementally with one
@@ -33,23 +42,32 @@ namespace esu_internal {
 ///    nodes — emits candidates directly without building their extension
 ///    or forbidden state at all.
 ///
-/// Equivalence to the legacy walk: candidates inherited from the parent
-/// frame are, by the ESU invariant, adjacent to the current subgraph, so
-/// the legacy `u not already in next_extension` membership scan can never
-/// fire once "not in forbidden" holds; everything else is a 1:1
-/// transliteration. The 100-graph differential test pins this.
+/// Only vertices >= a lower bound may join: root + 1 for a rooted walk (ESU
+/// roots every set at its minimum vertex, so disjoint root ranges partition
+/// the enumeration), 0 for the pair seed (every connected superset of the
+/// seed edge, no root filter).
+///
+/// Emission order is fixed by the graph alone: roots ascending, candidates
+/// in extension-stack order. The dense and CSR-only paths emit the same
+/// sequence (the differential battery pins this), which is what the
+/// pipelines' byte-identical output rests on.
 ///
 /// `Emit` is invoked as emit(const VertexId* set, size_t k) with the vertex
 /// set in ascending order; returning false aborts the whole enumeration
-/// (matching the public callback contract).
-template <typename Emit>
+/// (matching the public callback contract). `Explore` is invoked as
+/// explore(depth) before each branch is taken — once per root (depth 0) and
+/// once per extension candidate of a subgraph of `depth` vertices;
+/// returning false prunes the branch.
+template <typename Emit, typename Explore = ExploreAll>
 class Engine {
  public:
-  Engine(const GraphIndex& index, size_t k, Emit emit)
+  Engine(const GraphIndex& index, size_t k, Emit emit,
+         Explore explore = Explore())
       : index_(index),
         k_(k),
         words_(index.words_per_row()),
         emit_(std::move(emit)),
+        explore_(std::move(explore)),
         subgraph_(k == 0 ? 0 : k),
         sorted_(k == 0 ? 0 : k) {
     if (k_ > 2) {
@@ -70,6 +88,7 @@ class Engine {
     if (k_ == 0 || k_ > n) return true;
     root_end = std::min<VertexId>(root_end, static_cast<VertexId>(n));
     for (VertexId v = root_begin; v < root_end; ++v) {
+      if (!explore_(0)) continue;
       subgraph_[0] = v;
       if (k_ == 1) {
         if (!EmitSet()) return false;
@@ -89,13 +108,47 @@ class Engine {
         } else {
           // Only vertices > root can ever be candidates, so the sorted
           // forbidden list keeps just that suffix (v itself is <= root).
-          std::vector<VertexId>& list = forbidden_lists_[0];
-          list.assign(extension_.begin(), extension_.end());
+          forbidden_lists_[0].assign(extension_.begin(), extension_.end());
         }
       }
-      if (!Extend(1, 0, extension_.size(), v)) return false;
+      if (!Extend(1, 0, extension_.size(), v + 1)) return false;
     }
     return true;
+  }
+
+  /// Enumerates every connected size-k set containing both endpoints of the
+  /// edge {u, v}, each exactly once: Wernicke's exclusive-neighborhood
+  /// invariant holds for any connected seed, so no root filter is needed.
+  /// Returns false iff emit aborted.
+  bool RunPair(VertexId u, VertexId v) {
+    LAMO_CHECK_GE(k_, size_t{2}) << "pair-seeded ESU needs k >= 2";
+    LAMO_CHECK(u != v && index_.HasEdge(u, v))
+        << "pair seed {" << u << ", " << v << "} is not an edge";
+    subgraph_[0] = u;
+    subgraph_[1] = v;
+    if (k_ == 2) return EmitSet();
+    // forbidden({u, v}) = N(u) ∪ N(v), which holds u and v themselves; the
+    // seed candidates are that union minus {u, v}, ascending.
+    const auto nu = index_.Neighbors(u);
+    const auto nv = index_.Neighbors(v);
+    extension_.clear();
+    std::set_union(nu.begin(), nu.end(), nv.begin(), nv.end(),
+                   std::back_inserter(extension_));
+    if (k_ > 3) {
+      if (index_.dense()) {
+        uint64_t* row = ForbiddenRow(1);
+        const uint64_t* adj_u = index_.Row(u);
+        const uint64_t* adj_v = index_.Row(v);
+        for (size_t w = 0; w < words_; ++w) row[w] = adj_u[w] | adj_v[w];
+      } else {
+        forbidden_lists_[1].assign(extension_.begin(), extension_.end());
+      }
+    }
+    extension_.erase(
+        std::remove_if(extension_.begin(), extension_.end(),
+                       [&](VertexId x) { return x == u || x == v; }),
+        extension_.end());
+    return Extend(2, 0, extension_.size(), 0);
   }
 
  private:
@@ -119,12 +172,14 @@ class Engine {
   }
 
   /// Extends a subgraph of `size` vertices with candidates
-  /// extension_[ext_begin, ext_end). Frames are index-based: the flat
-  /// extension stack may reallocate while children append to it.
-  bool Extend(size_t size, size_t ext_begin, size_t ext_end, VertexId root) {
+  /// extension_[ext_begin, ext_end); only vertices >= `lower` may join.
+  /// Frames are index-based: the flat extension stack may reallocate while
+  /// children append to it.
+  bool Extend(size_t size, size_t ext_begin, size_t ext_end, VertexId lower) {
     if (size + 1 == k_) {
       // Leaf level: each candidate completes a size-k set; no child state.
       for (size_t i = ext_begin; i < ext_end; ++i) {
+        if (!explore_(size)) continue;
         subgraph_[size] = extension_[i];
         if (!EmitSet()) return false;
       }
@@ -132,6 +187,7 @@ class Engine {
     }
     const bool build_forbidden = size + 2 < k_;
     for (size_t i = ext_begin; i < ext_end; ++i) {
+      if (!explore_(size)) continue;
       const VertexId w = extension_[i];
       subgraph_[size] = w;
       const size_t child_begin = extension_.size();
@@ -139,12 +195,13 @@ class Engine {
       for (size_t j = i + 1; j < ext_end; ++j) {
         extension_.push_back(extension_[j]);
       }
-      // Exclusive neighbors of w: > root and outside subgraph ∪ N(subgraph).
+      // Exclusive neighbors of w: >= lower and outside subgraph ∪
+      // N(subgraph).
       const auto nbrs = index_.Neighbors(w);
       if (index_.dense()) {
         const uint64_t* forb = ForbiddenRow(size - 1);
         for (const VertexId u : nbrs) {
-          if (u > root && !TestBit(forb, u)) extension_.push_back(u);
+          if (u >= lower && !TestBit(forb, u)) extension_.push_back(u);
         }
         if (build_forbidden) {
           uint64_t* child = ForbiddenRow(size);
@@ -158,20 +215,20 @@ class Engine {
         const std::vector<VertexId>& forb = forbidden_lists_[size - 1];
         size_t cursor = 0;
         for (const VertexId u : nbrs) {
-          if (u <= root) continue;
+          if (u < lower) continue;
           while (cursor < forb.size() && forb[cursor] < u) ++cursor;
           if (cursor < forb.size() && forb[cursor] == u) continue;
           extension_.push_back(u);
         }
         if (build_forbidden) {
-          // child forbidden = forb ∪ {w} ∪ {u ∈ N(w) : u > root}, merged in
+          // child forbidden = forb ∪ {w} ∪ {u ∈ N(w) : u >= lower}, merged in
           // one ascending pass (w itself is already in forb: it was an
           // extension candidate, hence adjacent to the subgraph).
           std::vector<VertexId>& child = forbidden_lists_[size];
           child.clear();
           size_t fi = 0;
           size_t ni = 0;
-          while (ni < nbrs.size() && nbrs[ni] <= root) ++ni;
+          while (ni < nbrs.size() && nbrs[ni] < lower) ++ni;
           while (fi < forb.size() || ni < nbrs.size()) {
             VertexId next;
             if (ni == nbrs.size() ||
@@ -186,7 +243,7 @@ class Engine {
         }
       }
       const bool keep_going =
-          Extend(size + 1, child_begin, extension_.size(), root);
+          Extend(size + 1, child_begin, extension_.size(), lower);
       extension_.resize(child_begin);
       if (!keep_going) return false;
     }
@@ -197,6 +254,7 @@ class Engine {
   const size_t k_;
   const size_t words_;
   Emit emit_;
+  Explore explore_;
   std::vector<VertexId> subgraph_;  // DFS order, size k
   std::vector<VertexId> sorted_;    // ascending copy for emission
   std::vector<VertexId> extension_;  // flat stack of per-depth frames

@@ -8,6 +8,8 @@
 #include "graph/automorphism.h"
 #include "graph/canonical.h"
 #include "graph/graph_index.h"
+#include "motif/canon_cache.h"
+#include "motif/esu_engine.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
@@ -31,94 +33,7 @@ const size_t kSpanCount = ObsSpanId("gds.count");
 const size_t kHistScoreUs = ObsHistogramId("predict.score_us");
 const size_t kSpanScore = ObsSpanId("predict.score");
 
-/// Decodes a graph from its upper-triangle adjacency mask in the
-/// GraphIndex::InducedBits layout: pair (i, j), i < j, lexicographic,
-/// lowest bit first.
-SmallGraph GraphFromMask(size_t k, uint32_t mask) {
-  SmallGraph g(k);
-  size_t bit = 0;
-  for (uint32_t i = 0; i < k; ++i) {
-    for (uint32_t j = i + 1; j < k; ++j, ++bit) {
-      if ((mask >> bit) & 1u) g.AddEdge(i, j);
-    }
-  }
-  return g;
-}
-
 size_t PairCount(size_t k) { return k * (k - 1) / 2; }
-
-/// ESU over all connected induced subgraphs of size 2..5 that contain
-/// `root` as their minimum vertex; each such subgraph is visited exactly
-/// once (every recursion node of the size-5 ESU tree is a distinct
-/// connected set). Tallies every member vertex's orbit.
-class GdsEnumerator {
- public:
-  GdsEnumerator(const GraphIndex& index, const GdsOrbitTable& table,
-                std::atomic<uint64_t>* cells)
-      : index_(index), table_(table), cells_(cells),
-        marked_(index.num_vertices(), 0) {}
-
-  uint64_t subgraphs() const { return subgraphs_; }
-
-  void EnumerateRoot(VertexId root) {
-    root_ = root;
-    verts_[0] = root;
-    std::vector<VertexId> ext;
-    for (VertexId u : index_.Neighbors(root)) {
-      if (u > root) ext.push_back(u);
-    }
-    marked_[root] = 1;
-    for (VertexId u : ext) marked_[u] = 1;
-    Extend(1, ext);  // drains ext, so unmark via the neighbor list
-    marked_[root] = 0;
-    for (VertexId u : index_.Neighbors(root)) {
-      if (u > root) marked_[u] = 0;
-    }
-  }
-
- private:
-  void Tally(size_t k) {
-    const uint32_t mask = static_cast<uint32_t>(index_.InducedBits(verts_, k));
-    const uint8_t* orbits = table_.OrbitsOfMask(k, mask);
-    for (size_t i = 0; i < k; ++i) {
-      cells_[static_cast<size_t>(verts_[i]) * kGdsOrbits + orbits[i]]
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-    ++subgraphs_;
-  }
-
-  void Extend(size_t sub_size, std::vector<VertexId>& ext) {
-    if (sub_size >= 2) Tally(sub_size);
-    if (sub_size == 5) return;
-    // Wernicke's ESU: destructively pop w so later siblings cannot re-add
-    // it, and extend with w's exclusive neighborhood (neighbors not already
-    // in or adjacent to the current subgraph, tracked by marked_).
-    while (!ext.empty()) {
-      const VertexId w = ext.back();
-      ext.pop_back();
-      verts_[sub_size] = w;
-      std::vector<VertexId> newly;
-      for (VertexId u : index_.Neighbors(w)) {
-        if (u > root_ && !marked_[u]) {
-          marked_[u] = 1;
-          newly.push_back(u);
-        }
-      }
-      std::vector<VertexId> child = ext;
-      child.insert(child.end(), newly.begin(), newly.end());
-      Extend(sub_size + 1, child);
-      for (VertexId u : newly) marked_[u] = 0;
-    }
-  }
-
-  const GraphIndex& index_;
-  const GdsOrbitTable& table_;
-  std::atomic<uint64_t>* cells_;
-  std::vector<uint8_t> marked_;
-  VertexId verts_[5] = {0, 0, 0, 0, 0};
-  VertexId root_ = 0;
-  uint64_t subgraphs_ = 0;
-};
 
 }  // namespace
 
@@ -129,7 +44,7 @@ GdsOrbitTable::GdsOrbitTable() {
   for (size_t k = 2; k <= 5; ++k) {
     const uint32_t masks = 1u << PairCount(k);
     for (uint32_t mask = 0; mask < masks; ++mask) {
-      const SmallGraph g = GraphFromMask(k, mask);
+      const SmallGraph g = SharedCanonCache::UnpackBits(mask, k);
       if (!g.IsConnected()) continue;
       CanonicalResult canon = Canonicalize(g);
       if (by_code.contains(canon.code)) continue;
@@ -174,7 +89,7 @@ GdsOrbitTable::GdsOrbitTable() {
     const uint32_t masks = 1u << PairCount(k);
     lookup_[k].assign(static_cast<size_t>(masks) * k, kUnusedSlot);
     for (uint32_t mask = 0; mask < masks; ++mask) {
-      const SmallGraph g = GraphFromMask(k, mask);
+      const SmallGraph g = SharedCanonCache::UnpackBits(mask, k);
       if (!g.IsConnected()) continue;
       const CanonicalResult canon = Canonicalize(g);
       const auto it = by_code.find(canon.code);
@@ -225,12 +140,24 @@ std::vector<uint64_t> ComputeGdsSignatures(const Graph& ppi) {
     ParallelForChunks(0, n, grain, [&](size_t chunk, size_t lo, size_t hi) {
       (void)chunk;
       const ScopedItemTimer timer(kSpanCount, kHistCountUs, lo, hi - lo, 2);
-      GdsEnumerator enumerator(index, table, cells.data());
-      for (size_t root = lo; root < hi; ++root) {
-        enumerator.EnumerateRoot(static_cast<VertexId>(root));
+      uint64_t subgraphs = 0;
+      // One ESU pass per graphlet size over the sets rooted in [lo, hi);
+      // every member of each set tallies its orbit in that set's graphlet.
+      for (size_t k = 2; k <= 5; ++k) {
+        esu_internal::RunEsu(
+            index, k, static_cast<VertexId>(lo), static_cast<VertexId>(hi),
+            [&](const VertexId* set, size_t size) {
+              const uint8_t* orbits = table.OrbitsOfMask(
+                  size, static_cast<uint32_t>(index.InducedBits(set, size)));
+              for (size_t i = 0; i < size; ++i) {
+                cells[static_cast<size_t>(set[i]) * kGdsOrbits + orbits[i]]
+                    .fetch_add(1, std::memory_order_relaxed);
+              }
+              ++subgraphs;
+              return true;
+            });
       }
-      total_subgraphs.fetch_add(enumerator.subgraphs(),
-                                std::memory_order_relaxed);
+      total_subgraphs.fetch_add(subgraphs, std::memory_order_relaxed);
     });
     for (size_t i = 0; i < signatures.size(); ++i) {
       signatures[i] = cells[i].load(std::memory_order_relaxed);

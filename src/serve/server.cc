@@ -117,13 +117,6 @@ SnapshotService::SnapshotService(Snapshot snapshot, size_t cache_capacity)
 }
 
 Status SnapshotService::UsePredictor(const std::string& name) {
-  if (name != "lms" && snapshot_.version < 3) {
-    return Status::InvalidArgument(
-        "snapshot is version " + std::to_string(snapshot_.version) +
-        " and carries no predictor section; repack with `lamo pack` to serve "
-        "--predictor " +
-        name);
-  }
   PredictorInputs inputs;
   inputs.context = &context_;
   inputs.ontology = &snapshot_.ontology;

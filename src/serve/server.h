@@ -82,10 +82,8 @@ class SnapshotService : public LineService {
 
   /// Replaces the active backend with the one registered under `name`
   /// ("lms" | "gds" | "role"). gds/role draw their precomputed matrices from
-  /// the snapshot's predictor section, so a version-2 snapshot can only
-  /// serve lms — selecting another backend returns InvalidArgument advising
-  /// a repack. Call before serving starts: Handle() is not synchronized
-  /// against a concurrent swap.
+  /// the snapshot's predictor section. Call before serving starts: Handle()
+  /// is not synchronized against a concurrent swap.
   Status UsePredictor(const std::string& name);
 
   SnapshotService(const SnapshotService&) = delete;

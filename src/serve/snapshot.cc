@@ -473,12 +473,9 @@ Snapshot MakeShard(const Snapshot& full, uint32_t shard_id,
 }
 
 std::string EncodeSnapshot(const Snapshot& snap) {
-  LAMO_CHECK(snap.version >= kMinSnapshotVersion &&
-             snap.version <= kSnapshotVersion)
-      << "unencodable snapshot version " << snap.version;
   std::string out;
   out.append(kSnapshotMagic, sizeof kSnapshotMagic);
-  PutU32(&out, snap.version);
+  PutU32(&out, kSnapshotVersion);
 
   // -- shard section --
   PutU32(&out, snap.num_shards);
@@ -565,12 +562,10 @@ std::string EncodeSnapshot(const Snapshot& snap) {
     PutU32Vec(&out, cats);
   }
 
-  // -- predictor section (version 3) --
-  if (snap.version >= 3) {
-    PutU64Vec(&out, snap.gds_signatures);
-    PutU32(&out, snap.role_dim);
-    PutDoubleVec(&out, snap.role_vectors);
-  }
+  // -- predictor section --
+  PutU64Vec(&out, snap.gds_signatures);
+  PutU32(&out, snap.role_dim);
+  PutDoubleVec(&out, snap.role_vectors);
 
   PutU64(&out, Checksum(out.data(), out.size()));
   return out;
@@ -606,16 +601,15 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
   in.GetU8();  // magic, already validated
   for (size_t i = 1; i < sizeof kSnapshotMagic; ++i) in.GetU8();
   const uint32_t version = in.GetU32();
-  if (version < kMinSnapshotVersion || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return Status::InvalidArgument(
         "unsupported snapshot version " + std::to_string(version) +
-        " (this build reads versions " + std::to_string(kMinSnapshotVersion) +
-        ".." + std::to_string(kSnapshotVersion) + ")");
+        " (this build reads version " + std::to_string(kSnapshotVersion) +
+        "; repack with `lamo pack`)");
   }
 
   Snapshot snap;
   snap.checksum = actual;
-  snap.version = version;
 
   // -- shard section --
   snap.num_shards = in.GetU32();
@@ -813,19 +807,17 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
     }
   }
 
-  // -- predictor section (version 3; absent in version 2 files) --
-  if (version >= 3) {
-    snap.gds_signatures = in.GetU64Vec("gds signatures");
-    if (in.ok() && snap.gds_signatures.size() != num_proteins * kGdsOrbits) {
-      in.Fail("GDS signature matrix size does not match the graph");
-    }
-    snap.role_dim = in.GetU32();
-    snap.role_vectors = in.GetDoubleVec("role vectors");
-    if (in.ok() && (snap.role_dim == 0 ||
-                    snap.role_vectors.size() !=
-                        num_proteins * static_cast<size_t>(snap.role_dim))) {
-      in.Fail("role vector matrix size does not match the graph");
-    }
+  // -- predictor section --
+  snap.gds_signatures = in.GetU64Vec("gds signatures");
+  if (in.ok() && snap.gds_signatures.size() != num_proteins * kGdsOrbits) {
+    in.Fail("GDS signature matrix size does not match the graph");
+  }
+  snap.role_dim = in.GetU32();
+  snap.role_vectors = in.GetDoubleVec("role vectors");
+  if (in.ok() && (snap.role_dim == 0 ||
+                  snap.role_vectors.size() !=
+                      num_proteins * static_cast<size_t>(snap.role_dim))) {
+    in.Fail("role vector matrix size does not match the graph");
   }
 
   if (!in.ok()) return Status::Corruption("snapshot decode: " + in.error());

@@ -34,17 +34,12 @@ namespace lamo {
 inline constexpr char kSnapshotMagic[8] = {'L', 'A', 'M', 'O',
                                            'S', 'N', 'A', 'P'};
 
-/// Current format version. Readers accept kMinSnapshotVersion through this.
-/// Version 2 added the shard section (num_shards, shard_id) right after the
-/// version word; version 3 added the predictor section (precomputed GDS
-/// signature and role-vector matrices) between the prediction context and
-/// the checksum; see docs/FORMATS.md.
+/// The format version, the only one this build writes or reads. Version 2
+/// added the shard section (num_shards, shard_id) right after the version
+/// word; version 3 added the predictor section (precomputed GDS signature
+/// and role-vector matrices) between the prediction context and the
+/// checksum; see docs/FORMATS.md.
 inline constexpr uint32_t kSnapshotVersion = 3;
-
-/// Oldest version this build still reads. A version-2 file decodes with an
-/// empty predictor section, so it can serve the lms backend but `lamo serve
-/// --predictor gds|role` asks for a repack.
-inline constexpr uint32_t kMinSnapshotVersion = 2;
 
 /// One motif site a protein appears at: `motifs[motif]`'s canonical vertex
 /// `vertex`. Mirrors LabeledMotifPredictor's per-protein index.
@@ -78,21 +73,15 @@ struct Snapshot {
   std::vector<TermId> categories;
   std::vector<std::vector<TermId>> protein_categories;
 
-  /// Predictor section (version 3): precomputed inputs of the non-default
+  /// Predictor section: precomputed inputs of the non-default
   /// backends, so `lamo serve --predictor gds|role` loads instead of
   /// recounting orbits at startup. Both computations are deterministic, so
   /// the packed matrices equal what offline `lamo predict` recomputes — the
   /// basis of the offline/serving byte-identity contract. Shards keep the
-  /// full matrices (scoring must be identical everywhere). Empty when a
-  /// version-2 file was loaded.
+  /// full matrices (scoring must be identical everywhere).
   std::vector<uint64_t> gds_signatures;  // flat n x kGdsOrbits
   uint32_t role_dim = 0;                 // role-vector dimension
   std::vector<double> role_vectors;      // flat n x role_dim
-
-  /// Format version to encode as / decoded from. BuildSnapshot leaves the
-  /// current version; `lamo pack --snapshot-version 2` downgrades for
-  /// compatibility testing (the encoder then omits the predictor section).
-  uint32_t version = kSnapshotVersion;
 
   /// Shard section. An unsharded snapshot is shard 0 of 1. Shard k of N
   /// keeps the full graph, ontology, annotations, weights, motifs and

@@ -1,12 +1,11 @@
 #!/bin/sh
-# End-to-end predictor-backend contract: pack one v3 snapshot, then for each
+# End-to-end predictor-backend contract: pack one snapshot, then for each
 # registered backend (lms, gds, role) prove the served PREDICT answers are
 # byte-identical to offline `lamo predict --predictor X`, that STATS names
 # the active backend, and that predict --report carries the backend in its
-# annotations (validated by lamo_report_check). Compatibility: a v2 snapshot
-# (pack --snapshot-version 2) still serves lms but refuses --predictor gds
-# with a pointer to repacking. Finally an A/B drill: a replicated router
-# with --predictors lms,gds must show one backend per predictor in STATS.
+# annotations (validated by lamo_report_check). Finally an A/B drill: a
+# replicated router with --predictors lms,gds must show one backend per
+# predictor in STATS.
 set -e
 LAMO="$1"
 BENCH="$2"
@@ -108,43 +107,6 @@ if cmp -s "$WORK/offline.lms.42.txt" "$WORK/offline.gds.42.txt" &&
   exit 1
 fi
 
-# Snapshot version compatibility: a v2 file (no predictor section) still
-# serves the default lms backend but refuses gds with a repack pointer.
-"$LAMO" pack --graph "$WORK/ds.graph.txt" --obo "$WORK/ds.obo" \
-  --annotations "$WORK/ds.annotations.tsv" --labeled "$WORK/labeled.txt" \
-  --snapshot-version 2 --out "$WORK/model_v2.lamosnap" > /dev/null
-test "$(wc -c < "$WORK/model_v2.lamosnap")" -lt \
-  "$(wc -c < "$WORK/model.lamosnap")" || {
-  echo "FAIL: v2 snapshot is not smaller than v3" >&2
-  exit 1
-}
-rc=0
-"$LAMO" serve --snapshot "$WORK/model_v2.lamosnap" --predictor gds --stdin \
-  < /dev/null > /dev/null 2> "$WORK/v2_gds.err" || rc=$?
-test "$rc" -ne 0 || {
-  echo "FAIL: v2 snapshot accepted --predictor gds" >&2
-  exit 1
-}
-grep -q "pack" "$WORK/v2_gds.err" || {
-  echo "FAIL: v2 gds refusal does not point at lamo pack" >&2
-  cat "$WORK/v2_gds.err" >&2
-  exit 1
-}
-rm -f "$WORK/serve.v2.log"
-"$LAMO" serve --snapshot "$WORK/model_v2.lamosnap" --port 0 \
-  > "$WORK/serve.v2.log" 2>&1 &
-SERVER=$!
-wait_port "$WORK/serve.v2.log"
-"$BENCH" --port "$PORT" --query "PREDICT 42" > "$WORK/online.v2.42.txt"
-cmp "$WORK/offline.lms.42.txt" "$WORK/online.v2.42.txt" || {
-  echo "FAIL: v2 snapshot lms answers differ from v3" >&2
-  exit 1
-}
-kill "$SERVER"
-wait "$SERVER" 2> /dev/null || true
-SERVER=""
-echo "v2 snapshot: serves lms, refuses gds until repacked"
-
 # A/B drill: replicated router, backend 0 on lms and backend 1 on gds.
 # Aggregated STATS must show each backend's predictor, and the cluster must
 # keep answering PREDICTs.
@@ -178,4 +140,4 @@ wait "$ROUTER" 2> /dev/null || true
 ROUTER=""
 
 echo "predictor backends OK: lms/gds/role byte-identical offline vs served," \
-  "v2 compatibility enforced, A/B cluster observable via STATS"
+  "A/B cluster observable via STATS"

@@ -12,20 +12,10 @@
 
 #include "graph/canonical.h"
 #include "graph/small_digraph.h"
+#include "motif/canon_cache.h"
 
 namespace lamo {
 namespace {
-
-SmallGraph GraphFromMask(size_t n, uint32_t mask) {
-  SmallGraph g(n);
-  size_t bit = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j, ++bit) {
-      if ((mask >> bit) & 1u) g.AddEdge(i, j);
-    }
-  }
-  return g;
-}
 
 // Ground-truth class id: the minimum adjacency code over all relabelings.
 std::vector<uint8_t> BruteForceClassId(const SmallGraph& g) {
@@ -48,7 +38,7 @@ TEST_P(ExhaustiveCanonical, PartitionMatchesBruteForce) {
   std::map<std::vector<uint8_t>, std::vector<uint8_t>> truth_to_ours;
   std::map<std::vector<uint8_t>, std::vector<uint8_t>> ours_to_truth;
   for (uint32_t mask = 0; mask < (1u << num_edges); ++mask) {
-    const SmallGraph g = GraphFromMask(n, mask);
+    const SmallGraph g = SharedCanonCache::UnpackBits(mask, n);
     const auto ours = CanonicalCode(g);
     const auto truth = BruteForceClassId(g);
     // Same truth class must always map to the same code of ours, and vice
@@ -140,7 +130,7 @@ TEST(ExhaustiveCanonicalCounts, KnownGraphCounts) {
     std::set<std::vector<uint8_t>> classes;
     const size_t num_edges = n * (n - 1) / 2;
     for (uint32_t mask = 0; mask < (1u << num_edges); ++mask) {
-      classes.insert(CanonicalCode(GraphFromMask(n, mask)));
+      classes.insert(CanonicalCode(SharedCanonCache::UnpackBits(mask, n)));
     }
     EXPECT_EQ(classes.size(), expected) << "n=" << n;
   }

@@ -13,7 +13,7 @@
 
 #include "graph/graph_index.h"
 #include "io/edge_list.h"
-#include "motif/esu.h"
+#include "motif/esu_engine.h"
 #include "synth/dataset.h"
 #include "util/random.h"
 
@@ -138,9 +138,9 @@ TEST(GraphIndexFuzzTest, IndexBuildSurvivesMutatedEdgeLists) {
     // (the real assertion is ASan staying quiet).
     if (g.num_vertices() <= 64) {
       size_t count = 0;
-      EnumerateConnectedSubgraphsInRootRange(
+      esu_internal::RunEsu(
           index, 3, 0, static_cast<VertexId>(g.num_vertices()),
-          [&](const std::vector<VertexId>&) { return ++count < 10000; });
+          [&](const VertexId*, size_t) { return ++count < 10000; });
     }
   }
   // The battery is useless if every mutation fails to parse; the seeded mix

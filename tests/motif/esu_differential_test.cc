@@ -1,16 +1,19 @@
-// Differential tests for the ESU enumeration stack, two layers deep:
+// Differential tests for the ESU engine (motif/esu_engine.h), two layers
+// deep:
 //
 //  1. ESU versus a naive brute-force connected-subgraph enumerator. The
 //     brute force walks every C(n, k) vertex subset and keeps the connected
 //     ones, so it is obviously correct (and hopeless beyond tiny n); ESU
 //     must produce exactly the same multiset of canonical classes on random
 //     graphs of every density.
-//  2. The index-centric engine (CSR + dense bitset, and its sparse
-//     CSR-only fallback) versus the original pointer-chasing walk it
-//     replaced, kept as internal::EnumerateConnectedSubgraphsLegacy. These
-//     are required to agree on the exact emission *sequence*, not just the
-//     multiset — the pipelines' byte-identical-output guarantee rests on
-//     the emission order being preserved.
+//  2. The engine's own emission order. The dense-bitset path and the sparse
+//     CSR-only fallback must emit the exact same *sequence*, every set
+//     ascending; concatenating root-range runs must reproduce the full-range
+//     sequence; and an aborting callback must see a prefix of it. The
+//     pipelines' byte-identical-output guarantee (any thread count, any
+//     index layout) rests on this order.
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "graph/graph_index.h"
 #include "motif/canon_cache.h"
 #include "motif/esu.h"
+#include "motif/esu_engine.h"
 #include "util/random.h"
 
 namespace lamo {
@@ -83,28 +87,23 @@ TEST(EsuDifferentialTest, MatchesBruteForceOnRandomGraphs) {
 
 using SetSequence = std::vector<std::vector<VertexId>>;
 
-// The exact emission sequence of the original pointer-chasing walk.
-SetSequence LegacySequence(const Graph& g, size_t k) {
+// The exact emission sequence of the engine over roots [lo, hi) of a
+// prebuilt index (dense bitset or, with dense_vertex_limit = 0, the sparse
+// CSR fallback).
+SetSequence RootRangeSequence(const GraphIndex& index, size_t k, VertexId lo,
+                              VertexId hi) {
   SetSequence sets;
-  internal::EnumerateConnectedSubgraphsLegacy(
-      g, k, [&](const std::vector<VertexId>& set) {
-        sets.push_back(set);
-        return true;
-      });
+  esu_internal::RunEsu(index, k, lo, hi,
+                       [&](const VertexId* set, size_t size) {
+                         sets.emplace_back(set, set + size);
+                         return true;
+                       });
   return sets;
 }
 
-// The exact emission sequence of the index engine over a prebuilt index
-// (dense bitset or, with dense_vertex_limit = 0, the sparse CSR fallback).
 SetSequence IndexSequence(const GraphIndex& index, size_t k) {
-  SetSequence sets;
-  EnumerateConnectedSubgraphsInRootRange(
-      index, k, 0, static_cast<VertexId>(index.num_vertices()),
-      [&](const std::vector<VertexId>& set) {
-        sets.push_back(set);
-        return true;
-      });
-  return sets;
+  return RootRangeSequence(index, k, 0,
+                           static_cast<VertexId>(index.num_vertices()));
 }
 
 // A graph from one of several structural families, cycling with `trial` so
@@ -151,12 +150,13 @@ Graph TrialGraph(int trial, size_t n, Rng& rng) {
   }
 }
 
-TEST(EsuDifferentialTest, IndexEngineMatchesLegacyWalkOn120Graphs) {
+TEST(EsuDifferentialTest, DenseAndSparseEnginesAgreeOn120Graphs) {
   // 120 graphs (stars, cliques, disjoint unions, paths, random at all
-  // densities), n <= 14, every k in 3..5. The dense-bitset engine, the
-  // forced-sparse engine, and the legacy walk must emit the *same sequence*
-  // of vertex sets; the class-counting pipeline (with and without a shared
-  // canonicalization table) and the brute force must agree on the multiset.
+  // densities), n <= 14, every k in 3..5. The dense-bitset engine and the
+  // forced-sparse engine must emit the *same sequence* of ascending vertex
+  // sets, one root at a time in root order; the class-counting pipeline
+  // (with and without a shared canonicalization table) and the brute force
+  // must agree on the multiset.
   Rng rng(20070715);
   for (int trial = 0; trial < 120; ++trial) {
     const size_t n = 4 + rng.Uniform(11);  // 4..14
@@ -169,9 +169,23 @@ TEST(EsuDifferentialTest, IndexEngineMatchesLegacyWalkOn120Graphs) {
       SCOPED_TRACE(testing::Message()
                    << "trial " << trial << " n=" << n
                    << " m=" << g.num_edges() << " k=" << k);
-      const SetSequence legacy = LegacySequence(g, k);
-      EXPECT_EQ(IndexSequence(dense_index, k), legacy);
-      EXPECT_EQ(IndexSequence(sparse_index, k), legacy);
+      const SetSequence dense = IndexSequence(dense_index, k);
+      EXPECT_EQ(IndexSequence(sparse_index, k), dense);
+      SetSequence by_root;
+      for (VertexId root = 0; root < n; ++root) {
+        for (std::vector<VertexId>& set :
+             RootRangeSequence(sparse_index, k, root, root + 1)) {
+          EXPECT_EQ(set.front(), root) << "set not rooted at its minimum";
+          by_root.push_back(std::move(set));
+        }
+      }
+      EXPECT_EQ(by_root, dense);
+      for (const std::vector<VertexId>& set : dense) {
+        EXPECT_TRUE(std::adjacent_find(set.begin(), set.end(),
+                                       std::greater_equal<VertexId>()) ==
+                    set.end())
+            << "set not strictly ascending";
+      }
 
       const ClassCounts expected = BruteForceClasses(g, k);
       EXPECT_EQ(CountSubgraphClasses(g, k), expected);
@@ -183,42 +197,41 @@ TEST(EsuDifferentialTest, IndexEngineMatchesLegacyWalkOn120Graphs) {
 
 TEST(EsuDifferentialTest, IndexEngineHonorsCallbackAbort) {
   // Returning false must stop the enumeration immediately on both engine
-  // paths, exactly as the legacy walk does.
+  // paths: the callback sees exactly a prefix of the full sequence.
   Rng rng(11);
   const Graph g = ErdosRenyi(12, 40, rng);
-  const SetSequence all = LegacySequence(g, 4);
+  const SetSequence all = IndexSequence(GraphIndex(g), 4);
   ASSERT_GT(all.size(), 5u);
   for (const size_t limit : {size_t{1}, size_t{5}, all.size() - 1}) {
     for (const size_t dense_limit : {GraphIndex::kDenseVertexLimit,
                                      size_t{0}}) {
       const GraphIndex index(g, dense_limit);
       SetSequence prefix;
-      EnumerateConnectedSubgraphsInRootRange(
-          index, 4, 0, 12, [&](const std::vector<VertexId>& set) {
-            prefix.push_back(set);
+      const bool finished = esu_internal::RunEsu(
+          index, 4, 0, 12, [&](const VertexId* set, size_t size) {
+            prefix.emplace_back(set, set + size);
             return prefix.size() < limit;
           });
-      EXPECT_EQ(prefix.size(), limit);
+      EXPECT_FALSE(finished);
       EXPECT_EQ(prefix, SetSequence(all.begin(), all.begin() + limit));
     }
   }
 }
 
 TEST(EsuDifferentialTest, RootRangesPartitionTheEnumeration) {
-  // Splitting the root range anywhere must reproduce the full multiset —
-  // the property the parallel sharding relies on.
+  // Splitting the root range anywhere and concatenating the two runs must
+  // reproduce the full-range sequence — the property the parallel sharding
+  // relies on (chunks merge in root order).
   Rng rng(77);
   const Graph g = ErdosRenyi(12, 30, rng);
-  const ClassCounts expected = EsuClasses(g, 4);
+  const GraphIndex index(g);
+  const SetSequence full = IndexSequence(index, 4);
   for (VertexId split = 0; split <= 12; ++split) {
-    ClassCounts merged;
-    const auto add = [&](const std::vector<VertexId>& set) {
-      ++merged[CanonicalCode(SmallGraph::InducedSubgraph(g, set))];
-      return true;
-    };
-    EnumerateConnectedSubgraphsInRootRange(g, 4, 0, split, add);
-    EnumerateConnectedSubgraphsInRootRange(g, 4, split, 12, add);
-    EXPECT_EQ(merged, expected) << "split at root " << split;
+    SetSequence merged = RootRangeSequence(index, 4, 0, split);
+    for (std::vector<VertexId>& set : RootRangeSequence(index, 4, split, 12)) {
+      merged.push_back(std::move(set));
+    }
+    EXPECT_EQ(merged, full) << "split at root " << split;
   }
 }
 

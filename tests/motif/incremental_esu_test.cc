@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -85,22 +86,46 @@ TEST(MaskConnectedTest, MatchesSmallGraphConnectivity) {
   }
 }
 
-// Every connected k-set containing u and v, by filtering a full ESU run.
+// Every connected k-set containing u and v, by walking all C(n, k) vertex
+// subsets — independent of the ESU engine under test.
 std::set<std::vector<VertexId>> BruteForcePairSets(const GraphIndex& index,
                                                    VertexId u, VertexId v,
                                                    size_t k) {
   std::set<std::vector<VertexId>> sets;
-  esu_internal::RunEsu(index, k, 0,
-                       static_cast<VertexId>(index.num_vertices()),
-                       [&](const VertexId* set, size_t size) {
-                         const bool has_u = std::count(set, set + size, u);
-                         const bool has_v = std::count(set, set + size, v);
-                         if (has_u && has_v) {
-                           sets.emplace(set, set + size);
-                         }
-                         return true;
-                       });
+  const size_t n = index.num_vertices();
+  std::vector<VertexId> subset(k);
+  for (size_t i = 0; i < k; ++i) subset[i] = static_cast<VertexId>(i);
+  while (true) {
+    const uint64_t bits = index.InducedBits(subset.data(), k);
+    if (std::count(subset.begin(), subset.end(), u) &&
+        std::count(subset.begin(), subset.end(), v) &&
+        SharedCanonCache::UnpackBits(bits, k).IsConnected()) {
+      sets.insert(subset);
+    }
+    // Advance to the next lexicographic k-combination of [0, n).
+    size_t pos = k;
+    while (pos > 0 && subset[pos - 1] == n - k + pos - 1) --pos;
+    if (pos == 0) break;
+    ++subset[pos - 1];
+    for (size_t i = pos; i < k; ++i) subset[i] = subset[i - 1] + 1;
+  }
   return sets;
+}
+
+// A pair enumeration as comparable values, in emission order.
+using PairSequence =
+    std::vector<std::tuple<std::vector<VertexId>, uint64_t, uint64_t, bool>>;
+
+PairSequence PairRun(const GraphIndex& index, VertexId u, VertexId v,
+                     size_t k) {
+  std::vector<PairSubgraph> subs;
+  EnumeratePairSubgraphs(index, u, v, k, &subs);
+  PairSequence seq;
+  for (const PairSubgraph& ps : subs) {
+    seq.emplace_back(ps.verts, ps.bits_with, ps.bits_without,
+                     ps.connected_without);
+  }
+  return seq;
 }
 
 TEST(EnumeratePairSubgraphsTest, ExactlyOnceAndCompleteOnRandomGraphs) {
@@ -142,6 +167,32 @@ TEST(EnumeratePairSubgraphsTest, ExactlyOnceAndCompleteOnRandomGraphs) {
           EXPECT_NE(diff, 0u);
         }
         EXPECT_EQ(seen, BruteForcePairSets(index, u, v, k));
+      }
+    }
+  }
+}
+
+TEST(EnumeratePairSubgraphsTest, DenseAndSparseEmitTheSameSequence) {
+  // Live updates append occurrences in emission order, so the dense-bitset
+  // and CSR-only index layouts must emit the identical *sequence* of sets
+  // and packings, for every edge and either endpoint order.
+  Rng rng(404);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t n = 6 + rng.Uniform(12);  // 6..17
+    Rng graph_rng(rng.Next64());
+    const Graph g = ErdosRenyi(n, rng.Uniform(n * (n - 1) / 2 + 1), graph_rng);
+    const GraphIndex dense(g);
+    const GraphIndex sparse(g, 0);
+    ASSERT_TRUE(dense.dense());
+    ASSERT_FALSE(sparse.dense());
+    for (const auto& [u, v] : g.Edges()) {
+      for (size_t k = 2; k <= 6 && k <= n; ++k) {
+        SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n
+                                        << " edge {" << u << "," << v
+                                        << "} k=" << k);
+        const PairSequence expected = PairRun(dense, u, v, k);
+        EXPECT_EQ(PairRun(sparse, u, v, k), expected);
+        EXPECT_EQ(PairRun(dense, v, u, k), expected);
       }
     }
   }

@@ -207,20 +207,6 @@ TEST_F(ServiceTest, UsePredictorRejectsUnknownName) {
   EXPECT_EQ(service_.predictor_name(), "lms");  // active backend unchanged
 }
 
-TEST(SnapshotServiceVersionTest, Version2SnapshotServesOnlyLms) {
-  Snapshot v2 = TestSnapshot();
-  v2.version = 2;
-  v2.gds_signatures.clear();
-  v2.role_dim = 0;
-  v2.role_vectors.clear();
-  SnapshotService service(std::move(v2));
-  EXPECT_TRUE(service.UsePredictor("lms").ok());
-  const Status status = service.UsePredictor("gds");
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("repack"), std::string::npos)
-      << status.ToString();
-}
-
 TEST_F(ServiceTest, MotifsListsSites) {
   const Snapshot& snapshot = service_.snapshot();
   ProteinId covered = snapshot.graph.num_vertices();

@@ -139,9 +139,8 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
   EXPECT_EQ(decoded->categories, original.categories);
   EXPECT_EQ(decoded->protein_categories, original.protein_categories);
 
-  // Predictor section (version 3): the precomputed GDS signature and role
-  // vector matrices survive byte-for-byte.
-  EXPECT_EQ(decoded->version, kSnapshotVersion);
+  // Predictor section: the precomputed GDS signature and role vector
+  // matrices survive byte-for-byte.
   EXPECT_EQ(decoded->gds_signatures, original.gds_signatures);
   EXPECT_EQ(decoded->role_dim, original.role_dim);
   EXPECT_EQ(decoded->role_vectors, original.role_vectors);
@@ -160,23 +159,6 @@ TEST_F(SnapshotTest, PredictorSectionIsNontrivial) {
   EXPECT_GT(signature_sum, 0u);
 }
 
-TEST_F(SnapshotTest, Version2EncodeDecodesWithEmptyPredictorSection) {
-  Snapshot v2 = TestSnapshot();
-  v2.version = 2;
-  const std::string bytes = EncodeSnapshot(v2);
-  EXPECT_LT(bytes.size(), encoded_->size());  // no predictor section
-  auto decoded = DecodeSnapshot(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->version, 2u);
-  EXPECT_TRUE(decoded->gds_signatures.empty());
-  EXPECT_EQ(decoded->role_dim, 0u);
-  EXPECT_TRUE(decoded->role_vectors.empty());
-  // Everything else is intact: re-encoding the decoded image at version 2
-  // reproduces the file.
-  EXPECT_EQ(EncodeSnapshot(*decoded), bytes);
-  EXPECT_EQ(decoded->categories, TestSnapshot().categories);
-}
-
 TEST_F(SnapshotTest, ShardsKeepTheFullPredictorSection) {
   // Scoring must be identical on every shard, so the precomputed matrices
   // are never sliced by ownership.
@@ -184,7 +166,6 @@ TEST_F(SnapshotTest, ShardsKeepTheFullPredictorSection) {
   EXPECT_EQ(shard.gds_signatures, TestSnapshot().gds_signatures);
   EXPECT_EQ(shard.role_dim, TestSnapshot().role_dim);
   EXPECT_EQ(shard.role_vectors, TestSnapshot().role_vectors);
-  EXPECT_EQ(shard.version, TestSnapshot().version);
 }
 
 TEST_F(SnapshotTest, FileRoundTrip) {
@@ -220,10 +201,9 @@ TEST_F(SnapshotTest, RejectsBadMagic) {
 }
 
 TEST_F(SnapshotTest, RejectsUnsupportedVersion) {
-  // Both off the top (a future format) and off the bottom (the pre-shard v1
-  // layout) of the supported [kMinSnapshotVersion, kSnapshotVersion] range.
-  for (const uint32_t bad :
-       {kSnapshotVersion + 1, kMinSnapshotVersion - 1}) {
+  // Both a future format and the previous one (version 2, which had no
+  // predictor section): this build reads kSnapshotVersion only.
+  for (const uint32_t bad : {kSnapshotVersion + 1, kSnapshotVersion - 1}) {
     std::string bytes = *encoded_;
     bytes[8] = static_cast<char>(bad);  // u32 LE low byte
     Reseal(&bytes);  // valid checksum: must fail on the version, not the seal
@@ -257,12 +237,14 @@ TEST_F(SnapshotTest, RejectsMisshapenRoleVectorMatrix) {
 }
 
 TEST_F(SnapshotTest, RejectsPredictorSectionTruncation) {
-  // A version-3 header with the bytes ending where a version-2 file would
-  // (predictor section missing entirely) must fail, not silently decode.
-  Snapshot v2 = TestSnapshot();
-  v2.version = 2;
-  std::string bytes = EncodeSnapshot(v2);
-  bytes[8] = 3;  // claim version 3
+  // The bytes ending where the predictor section should start (the section
+  // missing entirely, as in a version-2 file) must fail, not silently
+  // decode. The section is three length-prefixed fields before the seal.
+  const Snapshot& snapshot = TestSnapshot();
+  const size_t section = 8 + 8 * snapshot.gds_signatures.size() + 4 + 8 +
+                         8 * snapshot.role_vectors.size();
+  std::string bytes = encoded_->substr(0, encoded_->size() - 8 - section);
+  bytes.append(8, '\0');
   Reseal(&bytes);
   EXPECT_FALSE(DecodeSnapshot(bytes).ok());
 }

@@ -529,27 +529,14 @@ int CmdPack(const Flags& flags) {
                          std::move(*annotations), std::move(*labeled),
                          informative_config);
   }();
-  // Deltas fold in before versioning/sharding so shard files carry the
-  // updated state too.
+  // Deltas fold in before sharding so shard files carry the updated state
+  // too.
   const std::string deltas = flags.Get("apply-deltas", "");
   if (!deltas.empty()) {
     const ScopedTimer timer("apply-deltas");
     const Status status = ApplyDeltaFile(deltas, &snapshot);
     if (!status.ok()) return Fail(status);
   }
-  // --snapshot-version 2 writes the previous layout (no predictor section)
-  // for downgrade/compatibility testing; such a file serves lms only.
-  const size_t snapshot_version =
-      flags.GetSize("snapshot-version", kSnapshotVersion);
-  if (snapshot_version < kMinSnapshotVersion ||
-      snapshot_version > kSnapshotVersion) {
-    return Fail(Status::InvalidArgument(
-        "--snapshot-version must be in [" +
-        std::to_string(kMinSnapshotVersion) + ", " +
-        std::to_string(kSnapshotVersion) + "]"));
-  }
-  snapshot.version = static_cast<uint32_t>(snapshot_version);
-
   const std::string out = flags.Get("out", "model.lamosnap");
   {
     const ScopedTimer timer("write");
@@ -867,8 +854,8 @@ int Usage() {
       "            --labeled FILE --protein ID --top-k K --threads N\n"
       "            --predictor %s\n"
       "  pack      --graph FILE --obo FILE --annotations FILE --labeled FILE\n"
-      "            --informative T --shards N --snapshot-version %u|%u\n"
-      "            --apply-deltas FILE --out FILE.lamosnap\n"
+      "            --informative T --shards N --apply-deltas FILE\n"
+      "            --out FILE.lamosnap\n"
       "  serve     --snapshot FILE.lamosnap [--port P | --stdin]\n"
       "            --predictor %s\n"
       "            --cache-capacity N --no-cache --threads N\n"
@@ -938,8 +925,7 @@ int Usage() {
       "method), gds by graphlet-degree-signature similarity, role by\n"
       "iterative role similarity; for the same backend, served PREDICT\n"
       "responses are byte-identical to offline predict output. gds/role\n"
-      "serving needs the snapshot's predictor section (version %u;\n"
-      "--snapshot-version %u packs the old layout, which serves lms only).\n"
+      "serve from the snapshot's precomputed predictor section.\n"
       "router --predictors lms,gds interleaves backends across predictors\n"
       "for A/B serving; STATS shows each backend's active predictor.\n"
       "serve also accepts live edge updates: ADDEDGE/DELEDGE patch the\n"
@@ -953,11 +939,8 @@ int Usage() {
       "live-updated server and a repacked one answer byte-identically. The\n"
       "router fans ADDEDGE/DELEDGE out to every backend and routes\n"
       "PREDICT_EDGE like PREDICT.\n",
-      predictors.c_str(), static_cast<unsigned>(kMinSnapshotVersion),
-      static_cast<unsigned>(kSnapshotVersion), predictors.c_str(),
-      predictors.c_str(), predictors.c_str(),
-      static_cast<unsigned>(kSnapshotVersion),
-      static_cast<unsigned>(kMinSnapshotVersion));
+      predictors.c_str(), predictors.c_str(), predictors.c_str(),
+      predictors.c_str());
   return 2;
 }
 
@@ -1017,7 +1000,6 @@ const std::vector<Command>& Commands() {
                         {"labeled", FlagKind::kString},
                         {"informative", FlagKind::kSize},
                         {"shards", FlagKind::kSize},
-                        {"snapshot-version", FlagKind::kSize},
                         {"apply-deltas", FlagKind::kString},
                         {"out", FlagKind::kString}}),
        CmdPack},
