@@ -2,21 +2,24 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
+#include <optional>
 
 #include "graph/canonical.h"
+#include "graph/graph_index.h"
+#include "motif/canon_cache.h"
 #include "motif/stage_checkpoint.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "parallel/parallel_for.h"
 #include "util/fault.h"
 #include "util/logging.h"
 
 namespace lamo {
 namespace {
 
-/// Candidate vertex sets canonicalized per level (after set-level dedup).
+/// Distinct vertex sets reached per level (each canonicalized once).
 const size_t kObsCandidateSets = ObsCounterId("miner.candidate_sets");
-/// Extensions dropped because the vertex set was already seen this level.
+/// Extensions dropped because the vertex set was already reached this level.
 const size_t kObsDedupHits = ObsCounterId("miner.dedup_hits");
 /// Frequent patterns harvested into the result across all levels.
 const size_t kObsPatternsEmitted = ObsCounterId("miner.patterns_emitted");
@@ -27,16 +30,11 @@ const size_t kSpanLevel = ObsSpanId("miner.level");
 /// Crash point, hit once per level before it is grown (fault.h).
 const size_t kFpMinerLevel = FaultPointId("mine.level");
 
-struct VertexSetHash {
-  size_t operator()(const std::vector<VertexId>& vs) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (VertexId v : vs) {
-      h ^= v;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
+/// Stored parents grown per block: a constant, so block boundaries and the
+/// merge order never depend on the thread count.
+constexpr size_t kParentsPerBlock = 256;
+/// Blocks grown per parallel wave before they merge.
+constexpr size_t kBlocksPerWave = 32;
 
 // In-progress pattern at one level.
 struct PatternEntry {
@@ -44,19 +42,130 @@ struct PatternEntry {
   std::vector<MotifOccurrence> occurrences;
 };
 
-// Builds the aligned embedding for vertex set `sorted_set`: canonical motif
-// vertex i is played by sorted_set[canonical_to_original[i]].
-MotifOccurrence AlignOccurrence(const std::vector<VertexId>& sorted_set,
-                                const CanonicalResult& canon) {
-  MotifOccurrence occ;
-  occ.proteins.resize(sorted_set.size());
-  for (size_t i = 0; i < sorted_set.size(); ++i) {
-    occ.proteins[i] = sorted_set[canon.canonical_to_original[i]];
-  }
-  return occ;
-}
-
 using LevelMap = std::map<std::vector<uint8_t>, PatternEntry>;
+
+/// The stored parent occurrences of one level in growth order (LevelMap code
+/// order, then occurrence order), flat: parent g's aligned vertices, its
+/// sorted vertex set, and an open-addressed table from sorted set to g.
+class ParentIndex {
+ public:
+  ParentIndex(const LevelMap& level, size_t k) : k_(k) {
+    for (const auto& [code, entry] : level) {
+      for (const MotifOccurrence& occ : entry.occurrences) {
+        aligned_.insert(aligned_.end(), occ.proteins.begin(),
+                        occ.proteins.end());
+      }
+    }
+    LAMO_CHECK_LT(size(), size_t{kEmpty});
+    sorted_ = aligned_;
+    size_t capacity = 16;
+    while (capacity < 2 * size()) capacity *= 2;
+    mask_ = capacity - 1;
+    slots_.assign(capacity, kEmpty);
+    for (uint32_t g = 0; g < size(); ++g) {
+      VertexId* set = sorted_.data() + size_t{g} * k_;
+      std::sort(set, set + k_);
+      size_t s = Hash(set);
+      while (slots_[s] != kEmpty) s = (s + 1) & mask_;
+      slots_[s] = g;
+    }
+  }
+
+  size_t k() const { return k_; }
+  size_t size() const { return aligned_.size() / k_; }
+  const VertexId* Aligned(size_t g) const { return &aligned_[g * k_]; }
+  const VertexId* Sorted(size_t g) const { return &sorted_[g * k_]; }
+
+  /// Index of the stored parent with sorted vertex set set[0..k), or size().
+  size_t Find(const VertexId* set) const {
+    for (size_t s = Hash(set);; s = (s + 1) & mask_) {
+      if (slots_[s] == kEmpty) return size();
+      if (std::equal(set, set + k_, Sorted(slots_[s]))) return slots_[s];
+    }
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  size_t Hash(const VertexId* set) const {
+    uint64_t h = 0;
+    for (size_t i = 0; i < k_; ++i) h = (h ^ set[i]) * 0x9e3779b97f4a7c15ULL;
+    return static_cast<size_t>(h ^ (h >> 29)) & mask_;
+  }
+
+  size_t k_;
+  size_t mask_ = 0;
+  std::vector<VertexId> aligned_;
+  std::vector<VertexId> sorted_;
+  std::vector<uint32_t> slots_;
+};
+
+/// One block's new candidate sets in serial reach order, flat: the
+/// canonical form and the k+1 aligned vertices (canonical vertex c is played
+/// by aligned[c]) of each.
+struct GrownBlock {
+  std::vector<const CanonicalResult*> canon;
+  std::vector<VertexId> aligned;
+  uint64_t reached = 0;  // extensions tried, duplicates included
+  // Owns the canonical forms of sizes past SharedCanonCache::kMaxK.
+  std::map<std::vector<uint8_t>, CanonicalResult> large_canon;
+};
+
+/// Grows parents [lo, hi). The candidate S = P + {w}, reached from parent g
+/// at its vertex P[i], is new -- reached here first by the serial loop over
+/// parents, vertices and neighbors -- iff (a) w is adjacent to no P[j] with
+/// j < i, and (b) no S - {u}, u in P, is a stored parent with index < g:
+/// every such parent reaches S too, and nothing else does. So deciding
+/// newness needs only the stored parents, never a set of every candidate.
+GrownBlock GrowBlock(const Graph& graph, const GraphIndex& index,
+                     const ParentIndex& parents, SharedCanonCache* cache,
+                     size_t lo, size_t hi) {
+  const size_t k = parents.k();
+  GrownBlock block;
+  VertexId set[SmallGraph::kMaxVertices];
+  VertexId sub[SmallGraph::kMaxVertices];
+  for (size_t g = lo; g < hi; ++g) {
+    const VertexId* p = parents.Aligned(g);
+    const VertexId* sorted = parents.Sorted(g);
+    for (size_t i = 0; i < k; ++i) {
+      for (const VertexId w : index.Neighbors(p[i])) {
+        if (std::find(p, p + k, w) != p + k) continue;
+        ++block.reached;
+        bool seen = false;
+        for (size_t j = 0; j < i && !seen; ++j) seen = index.HasEdge(p[j], w);
+        if (seen) continue;
+        const size_t at = std::lower_bound(sorted, sorted + k, w) - sorted;
+        std::copy(sorted, sorted + at, set);
+        set[at] = w;
+        std::copy(sorted + at, sorted + k, set + at + 1);
+        for (size_t u = 0; u <= k && !seen; ++u) {
+          if (u == at) continue;
+          std::copy(set, set + u, sub);
+          std::copy(set + u + 1, set + k + 1, sub + u);
+          seen = parents.Find(sub) < g;
+        }
+        if (seen) continue;
+
+        const CanonicalResult* canon = nullptr;
+        if (cache != nullptr) {
+          canon = &cache->Lookup(index.InducedBits(set, k + 1));
+        } else {
+          const SmallGraph induced = SmallGraph::InducedSubgraph(
+              graph, std::vector<VertexId>(set, set + k + 1));
+          auto [it, inserted] =
+              block.large_canon.try_emplace(induced.AdjacencyCode());
+          if (inserted) it->second = Canonicalize(induced);
+          canon = &it->second;
+        }
+        block.canon.push_back(canon);
+        for (size_t c = 0; c <= k; ++c) {
+          block.aligned.push_back(set[canon->canonical_to_original[c]]);
+        }
+      }
+    }
+  }
+  return block;
+}
 
 uint64_t MinerFingerprint(const Graph& graph, const MinerConfig& config) {
   ByteWriter w;
@@ -70,18 +179,23 @@ uint64_t MinerFingerprint(const Graph& graph, const MinerConfig& config) {
 }
 
 /// Level-state payload: the size of the patterns currently in `level`, the
-/// level itself, and everything harvested so far.
+/// level itself, and everything harvested so far. When `level_in_results`,
+/// the level's occurrences were moved into the last level.size() results.
 std::string EncodeLevelState(size_t level_size, const LevelMap& level,
-                             const std::vector<Motif>& results) {
+                             const std::vector<Motif>& results,
+                             bool level_in_results) {
   ByteWriter w;
   w.PutU64(level_size);
   w.PutU64(level.size());
+  size_t moved = results.size() - level.size();
   for (const auto& [code, entry] : level) {
+    const std::vector<MotifOccurrence>& occurrences =
+        level_in_results ? results[moved++].occurrences : entry.occurrences;
     w.PutString(std::string_view(reinterpret_cast<const char*>(code.data()),
                                  code.size()));
     EncodeSmallGraph(entry.pattern, &w);
-    w.PutU64(entry.occurrences.size());
-    for (const MotifOccurrence& occ : entry.occurrences) {
+    w.PutU64(occurrences.size());
+    for (const MotifOccurrence& occ : occurrences) {
       w.PutU64(occ.proteins.size());
       for (const VertexId v : occ.proteins) w.PutU32(v);
     }
@@ -170,17 +284,25 @@ std::vector<Motif> FrequentSubgraphMiner::Mine() {
   }
   ckpt.RecordChunks(config_.max_size - 2, start_size - 2);
 
-  auto harvest = [&](const LevelMap& lvl, size_t size) {
-    if (size < config_.min_size) return;
-    for (const auto& [code, entry] : lvl) {
+  // Appends a level's patterns to the results. The last level's
+  // occurrences are moved, not copied: nothing grows from them. Returns
+  // whether they were moved.
+  auto harvest = [&](LevelMap& lvl, size_t size, bool last) {
+    if (size < config_.min_size) return false;
+    for (auto& [code, entry] : lvl) {
       Motif motif;
       motif.pattern = entry.pattern;
       motif.code = code;
-      motif.occurrences = entry.occurrences;
       motif.frequency = entry.occurrences.size();
+      if (last) {
+        motif.occurrences = std::move(entry.occurrences);
+      } else {
+        motif.occurrences = entry.occurrences;
+      }
       results.push_back(std::move(motif));
       ObsIncrement(kObsPatternsEmitted);
     }
+    return last;
   };
 
   if (!restored) {
@@ -195,56 +317,60 @@ std::vector<Motif> FrequentSubgraphMiner::Mine() {
     if (entry.occurrences.size() >= config_.min_frequency) {
       level.emplace(edge_pattern.AdjacencyCode(), std::move(entry));
     }
-    harvest(level, 2);
+    harvest(level, 2, false);
   }
 
+  const GraphIndex index(graph_);
+  const size_t cap = config_.max_occurrences_per_pattern;
   const size_t save_every = std::max<size_t>(1, config_.checkpoint.every);
   size_t completed_levels = 0;
   for (size_t size = start_size; size < config_.max_size && !level.empty();
        ++size) {
+    // A level of SmallGraph::kMaxVertices vertices cannot grow; a larger
+    // max_size is fine as long as frequency pruning empties a level first.
+    LAMO_CHECK_LT(size, SmallGraph::kMaxVertices);
     FaultHit(kFpMinerLevel);
     const ScopedItemTimer level_timer(kSpanLevel, kHistLevelUs, size + 1,
                                       level.size(), 2);
+    // The parents live on flat in the index; the level map is not needed
+    // again (its patterns were harvested when it was built).
+    const ParentIndex parents(level, size);
+    level.clear();
+    std::optional<SharedCanonCache> cache;
+    if (size + 1 <= SharedCanonCache::kMaxK) cache.emplace(size + 1);
+    // Blocks grow in parallel a wave at a time and merge in block order,
+    // which is the serial reach order; a wave bounds the candidate buffers.
+    const size_t num_blocks =
+        (parents.size() + kParentsPerBlock - 1) / kParentsPerBlock;
     LevelMap next;
-    // A vertex set is processed at most once per level, no matter how many
-    // parent occurrences can reach it.
-    std::unordered_set<std::vector<VertexId>, VertexSetHash> seen_sets;
-
-    for (const auto& [code, entry] : level) {
-      (void)code;
-      for (const MotifOccurrence& occ : entry.occurrences) {
-        // Candidate extensions: neighbors of any occurrence vertex.
-        for (VertexId v : occ.proteins) {
-          for (VertexId w : graph_.Neighbors(v)) {
-            if (std::find(occ.proteins.begin(), occ.proteins.end(), w) !=
-                occ.proteins.end()) {
-              continue;
-            }
-            std::vector<VertexId> extended = occ.proteins;
-            extended.push_back(w);
-            std::sort(extended.begin(), extended.end());
-            if (!seen_sets.insert(extended).second) {
-              ObsIncrement(kObsDedupHits);
-              continue;
-            }
-
-            ObsIncrement(kObsCandidateSets);
-            const SmallGraph induced =
-                SmallGraph::InducedSubgraph(graph_, extended);
-            const CanonicalResult canon = Canonicalize(induced);
-            auto [it, inserted] = next.try_emplace(canon.code);
-            PatternEntry& target = it->second;
-            if (inserted) target.pattern = canon.graph;
-            if (config_.max_occurrences_per_pattern != 0 &&
-                target.occurrences.size() >=
-                    config_.max_occurrences_per_pattern) {
-              continue;  // frequency becomes a lower bound at the cap
-            }
-            target.occurrences.push_back(AlignOccurrence(extended, canon));
+    uint64_t reached = 0;
+    uint64_t candidates = 0;
+    for (size_t first = 0; first < num_blocks; first += kBlocksPerWave) {
+      const std::vector<GrownBlock> blocks = ParallelMap(
+          std::min(kBlocksPerWave, num_blocks - first), 1, [&](size_t b) {
+            const size_t lo = (first + b) * kParentsPerBlock;
+            return GrowBlock(graph_, index, parents,
+                             cache.has_value() ? &*cache : nullptr, lo,
+                             std::min(parents.size(), lo + kParentsPerBlock));
+          });
+      for (const GrownBlock& block : blocks) {
+        reached += block.reached;
+        candidates += block.canon.size();
+        for (size_t c = 0; c < block.canon.size(); ++c) {
+          const CanonicalResult& canon = *block.canon[c];
+          auto [it, inserted] = next.try_emplace(canon.code);
+          if (inserted) it->second.pattern = canon.graph;
+          std::vector<MotifOccurrence>& occurrences = it->second.occurrences;
+          if (cap != 0 && occurrences.size() >= cap) {
+            continue;  // frequency becomes a lower bound at the cap
           }
+          const VertexId* aligned = &block.aligned[c * (size + 1)];
+          occurrences.push_back(MotifOccurrence{{aligned, aligned + size + 1}});
         }
       }
     }
+    ObsAdd(kObsCandidateSets, candidates);
+    ObsAdd(kObsDedupHits, reached - candidates);
 
     // Frequency pruning.
     for (auto it = next.begin(); it != next.end();) {
@@ -254,7 +380,7 @@ std::vector<Motif> FrequentSubgraphMiner::Mine() {
         ++it;
       }
     }
-    // Optional beam.
+    // Optional beam. Ties in frequency keep canonical-code order.
     if (config_.max_patterns_per_level != 0 &&
         next.size() > config_.max_patterns_per_level) {
       std::vector<std::pair<size_t, std::vector<uint8_t>>> ranked;
@@ -262,8 +388,9 @@ std::vector<Motif> FrequentSubgraphMiner::Mine() {
       for (const auto& [c, e] : next) {
         ranked.emplace_back(e.occurrences.size(), c);
       }
-      std::sort(ranked.begin(), ranked.end(),
-                [](const auto& a, const auto& b) { return a.first > b.first; });
+      std::stable_sort(
+          ranked.begin(), ranked.end(),
+          [](const auto& a, const auto& b) { return a.first > b.first; });
       LevelMap pruned;
       for (size_t i = 0; i < config_.max_patterns_per_level; ++i) {
         auto node = next.extract(ranked[i].second);
@@ -272,10 +399,10 @@ std::vector<Motif> FrequentSubgraphMiner::Mine() {
       next = std::move(pruned);
     }
 
-    harvest(next, size + 1);
+    const bool moved = harvest(next, size + 1, size + 1 == config_.max_size);
     level = std::move(next);
     if (ckpt.enabled() && ++completed_levels % save_every == 0) {
-      ckpt.Save(EncodeLevelState(size + 1, level, results));
+      ckpt.Save(EncodeLevelState(size + 1, level, results, moved));
     }
     LAMO_LOG(Debug) << "miner level " << (size + 1) << ": " << level.size()
                     << " frequent patterns";

@@ -16,7 +16,8 @@ struct MinerConfig {
   /// Smallest pattern size reported.
   size_t min_size = 3;
   /// Largest pattern size grown to. The paper mines up to meso-scale
-  /// (size 20).
+  /// (size 20). Growth also stops at the first empty level, so a value
+  /// past SmallGraph::kMaxVertices is fine until a level reaches that size.
   size_t max_size = 10;
   /// Minimum number of distinct occurrences (vertex sets) for a pattern to
   /// be considered repeated. The paper uses 100 on the BIND yeast network.
@@ -40,14 +41,21 @@ struct MinerConfig {
 /// Level-wise frequent connected-subgraph miner over a single large graph,
 /// in the spirit of NeMoFinder [Chen et al., SIGKDD 2006]: patterns of size
 /// k+1 are grown from the occurrence lists of frequent size-k patterns by
-/// extending each occurrence with a neighboring vertex, deduplicating vertex
-/// sets, and grouping by canonical form. Frequency is the F1 measure
-/// (distinct vertex sets, overlaps allowed) used by NeMoFinder.
+/// extending each stored occurrence with a neighboring vertex, keeping each
+/// vertex set once, and grouping by canonical form. Frequency is the F1
+/// measure (distinct vertex sets, overlaps allowed) used by NeMoFinder.
+///
+/// A vertex set is kept where the serial loop over parents (pattern code
+/// order, then occurrence order), parent vertices and neighbors first
+/// reaches it. That is decided from the level's stored parents alone (see
+/// DESIGN.md §5), so growth runs in parallel over fixed blocks of parents
+/// on a GraphIndex and a per-level SharedCanonCache, and the output is
+/// byte-identical for every thread count.
 ///
 /// Growth from occurrence lists is exhaustive under downward closure (every
 /// frequent (k+1)-pattern has a size-k sub-occurrence inside a frequent
-/// size-k pattern); tests cross-check completeness against exhaustive ESU
-/// for small k.
+/// size-k pattern) as long as no occurrence cap or beam drops parents;
+/// tests cross-check completeness against exhaustive ESU for small k.
 class FrequentSubgraphMiner {
  public:
   /// `graph` must outlive the miner.

@@ -17,7 +17,7 @@ trap 'rm -rf "$WORK"' EXIT
 # them here proves instrumentation does not perturb the deterministic
 # results.
 for threads in 1 4; do
-  "$LAMO" mine --graph "$WORK/ds.graph.txt" --min-size 3 --max-size 4 \
+  "$LAMO" mine --graph "$WORK/ds.graph.txt" --min-size 3 --max-size 5 \
     --min-freq 20 --networks 5 --uniqueness 0.8 --threads "$threads" \
     --report "$WORK/mine.t$threads.json" \
     --trace "$WORK/mine.t$threads.trace.json" \
@@ -45,7 +45,7 @@ cmp "$WORK/labeled.t1.txt" "$WORK/labeled.t4.txt" || {
 
 # The env override must route through the same policy (flag absent -> env).
 LAMO_THREADS=3 "$LAMO" mine --graph "$WORK/ds.graph.txt" --min-size 3 \
-  --max-size 4 --min-freq 20 --networks 5 --uniqueness 0.8 \
+  --max-size 5 --min-freq 20 --networks 5 --uniqueness 0.8 \
   --out "$WORK/motifs.env.txt" > /dev/null
 cmp "$WORK/motifs.t1.txt" "$WORK/motifs.env.txt" || {
   echo "FAIL: mine output differs under LAMO_THREADS=3" >&2

@@ -2,12 +2,194 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "graph/canonical.h"
 #include "graph/generators.h"
 #include "motif/esu.h"
+#include "obs/obs.h"
+#include "parallel/parallel_for.h"
 
 namespace lamo {
 namespace {
+
+/// One Mine() call's output and miner counters.
+struct MineRun {
+  std::vector<Motif> motifs;
+  uint64_t candidate_sets = 0;
+  uint64_t dedup_hits = 0;
+};
+
+MineRun RunMiner(const Graph& g, const MinerConfig& config) {
+  ObsSink sink;
+  SetObsSink(&sink);
+  MineRun run;
+  run.motifs = FrequentSubgraphMiner(g, config).Mine();
+  SetObsSink(nullptr);
+  const auto counters = sink.CounterTotals();
+  run.candidate_sets = counters.at("miner.candidate_sets");
+  run.dedup_hits = counters.at("miner.dedup_hits");
+  return run;
+}
+
+/// Test-only oracle: the serial set-based grower the miner replaced. Every
+/// reached vertex set goes through one seen-set per level and is
+/// canonicalized from scratch.
+MineRun SetBasedMine(const Graph& g, const MinerConfig& config) {
+  MineRun run;
+  std::map<std::vector<uint8_t>, Motif> level;
+  SmallGraph edge(2);
+  edge.AddEdge(0, 1);
+  Motif& edges = level[edge.AdjacencyCode()];
+  edges.pattern = edge;
+  for (const auto& [a, b] : g.Edges()) edges.occurrences.push_back({{a, b}});
+  if (edges.occurrences.size() < config.min_frequency) level.clear();
+  for (size_t size = 2;; ++size) {
+    for (auto& [code, m] : level) {
+      m.code = code;
+      m.frequency = m.occurrences.size();
+      if (size >= config.min_size) run.motifs.push_back(m);
+    }
+    if (size == config.max_size || level.empty()) return run;
+    std::map<std::vector<uint8_t>, Motif> next;
+    std::set<std::vector<VertexId>> seen;
+    for (const auto& [code, m] : level) {
+      for (const MotifOccurrence& occ : m.occurrences) {
+        for (const VertexId v : occ.proteins) {
+          for (const VertexId w : g.Neighbors(v)) {
+            if (std::count(occ.proteins.begin(), occ.proteins.end(), w)) {
+              continue;
+            }
+            std::vector<VertexId> set = occ.proteins;
+            set.push_back(w);
+            std::sort(set.begin(), set.end());
+            if (!seen.insert(set).second) {
+              ++run.dedup_hits;
+              continue;
+            }
+            ++run.candidate_sets;
+            const CanonicalResult canon =
+                Canonicalize(SmallGraph::InducedSubgraph(g, set));
+            auto [it, inserted] = next.try_emplace(canon.code);
+            if (inserted) it->second.pattern = canon.graph;
+            auto& occs = it->second.occurrences;
+            if (config.max_occurrences_per_pattern != 0 &&
+                occs.size() >= config.max_occurrences_per_pattern) {
+              continue;
+            }
+            occs.emplace_back();
+            for (const uint32_t i : canon.canonical_to_original) {
+              occs.back().proteins.push_back(set[i]);
+            }
+          }
+        }
+      }
+    }
+    std::erase_if(next, [&](const auto& e) {
+      return e.second.occurrences.size() < config.min_frequency;
+    });
+    const size_t beam = config.max_patterns_per_level;
+    if (beam != 0 && next.size() > beam) {
+      std::vector<std::pair<size_t, std::vector<uint8_t>>> ranked;
+      for (const auto& [c, m] : next) ranked.emplace_back(m.occurrences.size(), c);
+      std::stable_sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+        return a.first > b.first;
+      });
+      std::map<std::vector<uint8_t>, Motif> kept;
+      for (size_t i = 0; i < beam; ++i) kept.insert(next.extract(ranked[i].second));
+      next = std::move(kept);
+    }
+    level = std::move(next);
+  }
+}
+
+/// Full Motif vectors (code, pattern, occurrence order and alignment,
+/// frequency) and both counters must agree.
+void ExpectSameRun(const MineRun& got, const MineRun& want) {
+  EXPECT_EQ(got.candidate_sets, want.candidate_sets);
+  EXPECT_EQ(got.dedup_hits, want.dedup_hits);
+  ASSERT_EQ(got.motifs.size(), want.motifs.size());
+  for (size_t i = 0; i < got.motifs.size(); ++i) {
+    const Motif& a = got.motifs[i];
+    const Motif& b = want.motifs[i];
+    EXPECT_EQ(a.code, b.code) << "motif " << i;
+    EXPECT_TRUE(a.pattern == b.pattern) << "motif " << i;
+    EXPECT_EQ(a.frequency, b.frequency) << "motif " << i;
+    ASSERT_EQ(a.occurrences.size(), b.occurrences.size()) << "motif " << i;
+    for (size_t o = 0; o < a.occurrences.size(); ++o) {
+      ASSERT_EQ(a.occurrences[o].proteins, b.occurrences[o].proteins)
+          << "motif " << i << " occurrence " << o;
+    }
+  }
+}
+
+/// Runs the miner at 1 and 4 threads against the set-based oracle and
+/// returns the oracle's run.
+MineRun ExpectMatchesOracle(const Graph& g, const MinerConfig& config) {
+  MineRun want = SetBasedMine(g, config);
+  for (const size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetThreadCount(threads);
+    ExpectSameRun(RunMiner(g, config), want);
+  }
+  SetThreadCount(0);
+  return want;
+}
+
+TEST(MinerDifferentialTest, MatchesSetBasedGrowerUnderCapsAndBeam) {
+  // Caps and beams of 1-3 keep only some parents, so a set is often
+  // reachable from parents that were never stored. Sizes 6-7 run through
+  // both SharedCanonCache layouts (dense k <= 6, sharded k > 6).
+  for (uint64_t seed = 0; seed < 120; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(1000 + seed);
+    const size_t n = 12 + seed % 19;
+    const Graph g = seed % 2 == 0 ? ErdosRenyi(n, 2 * n, rng)
+                                  : BarabasiAlbert(n, 2, rng);
+    MinerConfig config;
+    config.min_size = 3;
+    config.max_size = 6 + seed % 2;
+    config.min_frequency = 1;
+    config.max_occurrences_per_pattern = 1 + seed % 3;
+    config.max_patterns_per_level = 1 + (seed / 3) % 3;
+    ExpectMatchesOracle(g, config);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(MinerDifferentialTest, MatchesSetBasedGrowerAcrossBlocksAndWaves) {
+  // Unpruned levels large enough to span many parent blocks and more than
+  // one merge wave.
+  Rng rng(77);
+  const Graph g = BarabasiAlbert(400, 3, rng);
+  MinerConfig config;
+  config.min_size = 3;
+  config.max_size = 4;
+  config.min_frequency = 1;
+  config.max_occurrences_per_pattern = 0;
+  const MineRun run = ExpectMatchesOracle(g, config);
+  // The size-3 parents fill more than one wave of 32 blocks of 256.
+  size_t parents = 0;
+  for (const Motif& m : run.motifs) {
+    if (m.size() == 3) parents += m.occurrences.size();
+  }
+  EXPECT_GT(parents, 32u * 256u);
+}
+
+TEST(MinerDifferentialTest, MatchesSetBasedGrowerPastCanonCacheSizes) {
+  // Size 12 is past SharedCanonCache::kMaxK: the Canonicalize fallback.
+  Rng rng(78);
+  const Graph g = ErdosRenyi(24, 48, rng);
+  MinerConfig config;
+  config.min_size = 3;
+  config.max_size = 12;
+  config.min_frequency = 1;
+  config.max_occurrences_per_pattern = 3;
+  config.max_patterns_per_level = 2;
+  ExpectMatchesOracle(g, config);
+}
 
 TEST(MinerTest, MatchesEsuWhenUnpruned) {
   // With min_frequency 1 and no caps, the level-wise grower must find
@@ -138,6 +320,32 @@ TEST(MinerTest, OccurrenceCapBoundsMemory) {
   }
 }
 
+TEST(MinerTest, MaxSizePastSmallGraphLimitStopsWhenLevelsRunOut) {
+  // max_size above SmallGraph::kMaxVertices means "grow until a level is
+  // empty". Eight disjoint 6-vertex wheels-minus-a-spoke: no connected set
+  // has more than 6 vertices, so level 7 is empty long before 64.
+  GraphBuilder builder(48);
+  for (VertexId c = 0; c < 8; ++c) {
+    const VertexId hub = 6 * c;
+    for (VertexId i = 1; i < 6; ++i) {
+      ASSERT_TRUE(builder.AddEdge(hub + i, hub + i % 5 + 1).ok());
+      if (i > 1) {
+        ASSERT_TRUE(builder.AddEdge(hub, hub + i).ok());
+      }
+    }
+  }
+  const Graph g = builder.Build();
+  MinerConfig config;
+  config.min_size = 3;
+  config.max_size = 10;
+  config.min_frequency = 2;
+  const MineRun bounded = RunMiner(g, config);
+  ASSERT_FALSE(bounded.motifs.empty());
+  ASSERT_EQ(bounded.motifs.back().size(), 6u);
+  config.max_size = SmallGraph::kMaxVertices + 36;
+  ExpectSameRun(RunMiner(g, config), bounded);
+}
+
 TEST(MinerTest, BeamKeepsMostFrequent) {
   Rng rng(37);
   const Graph g = ErdosRenyi(40, 120, rng);
@@ -154,6 +362,49 @@ TEST(MinerTest, BeamKeepsMostFrequent) {
   size_t max_freq = 0;
   for (const Motif& m : all) max_freq = std::max(max_freq, m.frequency);
   EXPECT_EQ(top[0].frequency, max_freq);
+}
+
+TEST(MinerTest, BeamTiesKeepCanonicalCodeOrder) {
+  // Every connected 5-vertex graph (21 classes) planted once as its own
+  // component: at level 5 all 21 patterns tie at frequency 1, and a beam of
+  // 18 must keep the first 18 in canonical-code order.
+  std::set<std::vector<uint8_t>> codes;
+  std::vector<SmallGraph> classes;
+  for (uint32_t mask = 0; mask < (1u << 10); ++mask) {
+    SmallGraph candidate(5);
+    size_t bit = 0;
+    for (uint32_t a = 0; a < 5; ++a) {
+      for (uint32_t b = a + 1; b < 5; ++b, ++bit) {
+        if ((mask >> bit) & 1) candidate.AddEdge(a, b);
+      }
+    }
+    if (candidate.IsConnected() &&
+        codes.insert(CanonicalCode(candidate)).second) {
+      classes.push_back(candidate);
+    }
+  }
+  ASSERT_EQ(classes.size(), 21u);
+  GraphBuilder builder(5 * classes.size());
+  for (size_t c = 0; c < classes.size(); ++c) {
+    for (const auto& [a, b] : classes[c].Edges()) {
+      ASSERT_TRUE(builder.AddEdge(5 * c + a, 5 * c + b).ok());
+    }
+  }
+  const Graph g = builder.Build();
+
+  MinerConfig config;
+  config.min_size = 5;
+  config.max_size = 5;
+  config.min_frequency = 1;
+  config.max_patterns_per_level = 18;
+  std::vector<std::vector<uint8_t>> kept;
+  for (const Motif& m : FrequentSubgraphMiner(g, config).Mine()) {
+    EXPECT_EQ(m.frequency, 1u);
+    kept.push_back(m.code);
+  }
+  const std::vector<std::vector<uint8_t>> first18(codes.begin(),
+                                                  std::next(codes.begin(), 18));
+  EXPECT_EQ(kept, first18);
 }
 
 }  // namespace
