@@ -94,10 +94,10 @@ int main() {
                               OccurrenceSimilarity::SymmetryMode::kTwinSets);
     OccurrenceSimilarity orbits(
         st, motif.pattern, OccurrenceSimilarity::SymmetryMode::kFullOrbits);
-    auto profile = [&](const MotifOccurrence& occ) {
-      LabelProfile result(occ.proteins.size());
-      for (size_t pos = 0; pos < occ.proteins.size(); ++pos) {
-        const auto terms = dataset.annotations.TermsOf(occ.proteins[pos]);
+    auto profile = [&](std::span<const VertexId> occ) {
+      LabelProfile result(occ.size());
+      for (size_t pos = 0; pos < occ.size(); ++pos) {
+        const auto terms = dataset.annotations.TermsOf(occ[pos]);
         result[pos].assign(terms.begin(), terms.end());
       }
       return result;

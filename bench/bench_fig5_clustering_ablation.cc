@@ -72,12 +72,14 @@ Scenario BuildScenario() {
   s.motif.pattern.AddEdge(0, 2);
   s.motif.code = CanonicalCode(s.motif.pattern);
   s.proteins = AnnotationTable(3 * kOccurrences);
+  s.motif.occurrences = OccurrenceList(3);
   Rng rng(5);
   for (size_t o = 0; o < kOccurrences; ++o) {
-    MotifOccurrence occ;
+    const std::span<VertexId> occ =
+        s.motif.occurrences.push_back_uninitialized();
     for (uint32_t v = 0; v < 3; ++v) {
       const ProteinId p = static_cast<ProteinId>(3 * o + v);
-      occ.proteins.push_back(p);
+      occ[v] = p;
       const bool in_a = o < 12 || o >= 24;
       const bool in_b = o >= 12;
       if (in_a) {
@@ -89,7 +91,6 @@ Scenario BuildScenario() {
             s.proteins.Annotate(p, rng.Bernoulli(0.5) ? b1 : b2).ok());
       }
     }
-    s.motif.occurrences.push_back(std::move(occ));
   }
   s.motif.frequency = s.motif.occurrences.size();
   s.motif.uniqueness = 1.0;

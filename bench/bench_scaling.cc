@@ -73,17 +73,15 @@ Motif MotifWithOccurrences(size_t d) {
   Motif motif;
   motif.pattern = ex.motif;
   motif.code = CanonicalCode(ex.motif);
+  motif.occurrences = OccurrenceList(4);
   Rng rng(d);
   for (size_t i = 0; i < d; ++i) {
     // Reuse the four real occurrences' proteins in rotated combinations so
     // profiles stay realistic.
     const auto& base = ex.occurrences[i % 4];
-    MotifOccurrence occ;
+    const std::span<VertexId> occ = motif.occurrences.push_back_uninitialized();
     const size_t shift = rng.Uniform(4);
-    for (size_t pos = 0; pos < 4; ++pos) {
-      occ.proteins.push_back(base[(pos + shift) % 4]);
-    }
-    motif.occurrences.push_back(std::move(occ));
+    for (size_t pos = 0; pos < 4; ++pos) occ[pos] = base[(pos + shift) % 4];
   }
   motif.frequency = d;
   motif.uniqueness = 1.0;

@@ -44,9 +44,8 @@ int main() {
   Motif motif;
   motif.pattern = example.motif;
   motif.code = CanonicalCode(example.motif);
-  for (const auto& occ : example.occurrences) {
-    motif.occurrences.push_back(MotifOccurrence{occ});
-  }
+  motif.occurrences = OccurrenceList(example.motif.num_vertices());
+  for (const auto& occ : example.occurrences) motif.occurrences.push_back(occ);
   motif.frequency = motif.occurrences.size();
   motif.uniqueness = 1.0;
 

@@ -10,10 +10,10 @@ namespace {
 
 // Builds the annotation profile of one occurrence.
 LabelProfile OccurrenceProfile(const AnnotationTable& annotations,
-                               const MotifOccurrence& occ) {
-  LabelProfile profile(occ.proteins.size());
-  for (size_t pos = 0; pos < occ.proteins.size(); ++pos) {
-    const auto terms = annotations.TermsOf(occ.proteins[pos]);
+                               std::span<const VertexId> occ) {
+  LabelProfile profile(occ.size());
+  for (size_t pos = 0; pos < occ.size(); ++pos) {
+    const auto terms = annotations.TermsOf(occ[pos]);
     profile[pos].assign(terms.begin(), terms.end());
   }
   return profile;
@@ -29,16 +29,17 @@ std::vector<LabeledMotif> LabelMotifKMedoids(
   const size_t num_vertices = motif.pattern.num_vertices();
   if (num_vertices == 0 || motif.occurrences.empty()) return results;
 
-  std::vector<const MotifOccurrence*> sample;
+  // Strided sample of occurrence indices (same rule as LaMoFinder).
+  std::vector<size_t> sample;
   if (config.max_occurrences != 0 &&
       motif.occurrences.size() > config.max_occurrences) {
     const double stride = static_cast<double>(motif.occurrences.size()) /
                           static_cast<double>(config.max_occurrences);
     for (size_t i = 0; i < config.max_occurrences; ++i) {
-      sample.push_back(&motif.occurrences[static_cast<size_t>(i * stride)]);
+      sample.push_back(static_cast<size_t>(i * stride));
     }
   } else {
-    for (const auto& occ : motif.occurrences) sample.push_back(&occ);
+    for (size_t i = 0; i < motif.occurrences.size(); ++i) sample.push_back(i);
   }
   const size_t n = sample.size();
   const size_t k =
@@ -48,8 +49,8 @@ std::vector<LabeledMotif> LabelMotifKMedoids(
   OccurrenceSimilarity so(st, motif.pattern);
   std::vector<LabelProfile> profiles;
   profiles.reserve(n);
-  for (const MotifOccurrence* occ : sample) {
-    profiles.push_back(OccurrenceProfile(annotations, *occ));
+  for (const size_t i : sample) {
+    profiles.push_back(OccurrenceProfile(annotations, motif.occurrences[i]));
   }
 
   // Initialize medoids with distinct random occurrences.
@@ -115,7 +116,7 @@ std::vector<LabeledMotif> LabelMotifKMedoids(
     // Fold members into the medoid's profile pairwise (same least-general
     // rule as LaMoFinder, but over a fixed disjoint cluster).
     LabelProfile scheme = profiles[medoids[c]];
-    std::vector<MotifOccurrence> occurrences;
+    OccurrenceList occurrences(num_vertices);
     for (size_t i : members) {
       std::vector<uint32_t> pairing;
       so.Score(scheme, profiles[i], &pairing);
@@ -133,12 +134,12 @@ std::vector<LabeledMotif> LabelMotifKMedoids(
           std::sort(scheme[pos].begin(), scheme[pos].end());
         }
       }
-      MotifOccurrence realigned;
-      realigned.proteins.resize(num_vertices);
+      const std::span<const VertexId> occ = motif.occurrences[sample[i]];
+      const std::span<VertexId> realigned =
+          occurrences.push_back_uninitialized();
       for (size_t pos = 0; pos < num_vertices; ++pos) {
-        realigned.proteins[pos] = sample[i]->proteins[pairing[pos]];
+        realigned[pos] = occ[pairing[pos]];
       }
-      occurrences.push_back(std::move(realigned));
     }
     // Same emission rule as LaMoFinder: labels restricted to candidates,
     // at least half of the vertices labeled.

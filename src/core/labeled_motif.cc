@@ -37,11 +37,7 @@ void EncodeLabeledMotif(const LabeledMotif& m, ByteWriter* w) {
     w->PutU64(set.size());
     for (const TermId t : set) w->PutU32(t);
   }
-  w->PutU64(m.occurrences.size());
-  for (const MotifOccurrence& occ : m.occurrences) {
-    w->PutU64(occ.proteins.size());
-    for (const VertexId v : occ.proteins) w->PutU32(v);
-  }
+  EncodeOccurrences(m.occurrences, w);
   w->PutU64(m.frequency);
   w->PutDouble(m.uniqueness);
   w->PutDouble(m.strength);
@@ -71,20 +67,8 @@ Status DecodeLabeledMotif(ByteReader* r, LabeledMotif* m) {
     set.assign(static_cast<size_t>(set_size), 0);
     for (TermId& t : set) LAMO_RETURN_IF_ERROR(r->GetU32(&t));
   }
-  uint64_t num_occurrences = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU64(&num_occurrences));
-  m->occurrences.clear();
-  for (uint64_t i = 0; i < num_occurrences; ++i) {
-    uint64_t num_proteins = 0;
-    LAMO_RETURN_IF_ERROR(r->GetU64(&num_proteins));
-    if (num_proteins > SmallGraph::kMaxVertices) {
-      return Status::Corruption("labeled occurrence size out of range");
-    }
-    MotifOccurrence occ;
-    occ.proteins.assign(static_cast<size_t>(num_proteins), 0);
-    for (VertexId& v : occ.proteins) LAMO_RETURN_IF_ERROR(r->GetU32(&v));
-    m->occurrences.push_back(std::move(occ));
-  }
+  LAMO_RETURN_IF_ERROR(
+      DecodeOccurrences(r, m->pattern.num_vertices(), &m->occurrences));
   uint64_t frequency = 0;
   LAMO_RETURN_IF_ERROR(r->GetU64(&frequency));
   m->frequency = static_cast<size_t>(frequency);

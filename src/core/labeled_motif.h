@@ -22,10 +22,10 @@ struct LabeledMotif {
   /// The labeling scheme: scheme[i] is the label set of canonical vertex i.
   /// An empty set renders as "unknown".
   LabelProfile scheme;
-  /// Conforming occurrences, re-aligned so that proteins[i] plays scheme
-  /// position i under the symmetric-vertex pairing that makes the occurrence
-  /// conform.
-  std::vector<MotifOccurrence> occurrences;
+  /// Conforming occurrences, flat with k = size() (see OccurrenceList),
+  /// each re-aligned so that its id i plays scheme position i under the
+  /// symmetric-vertex pairing that makes the occurrence conform.
+  OccurrenceList occurrences;
   /// |g_labeled|: the number of occurrences of the underlying motif that
   /// conform to the scheme (= occurrences.size()).
   size_t frequency = 0;

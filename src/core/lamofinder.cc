@@ -40,10 +40,11 @@ const size_t kSpanLabelMotif = ObsSpanId("lamofinder.label_motif");
 /// Crash point, hit once per motif group in LabelAll (fault.h).
 const size_t kFpLabelMotif = FaultPointId("label.motif");
 
-// One cluster of occurrences during agglomeration.
+// One cluster of occurrences during agglomeration. Only the member count
+// is kept: emission re-derives the conforming occurrences from the scheme.
 struct Cluster {
-  LabelProfile profile;                    // generalized labels per vertex
-  std::vector<MotifOccurrence> members;    // aligned occurrences
+  LabelProfile profile;  // generalized labels per vertex
+  size_t members = 1;    // occurrences merged into this cluster
   bool saturated = false;
   bool alive = true;
 };
@@ -104,10 +105,10 @@ LaMoFinder::LaMoFinder(const Ontology& ontology, const TermWeights& weights,
   }
 }
 
-std::vector<MotifOccurrence> LaMoFinder::ConformingOccurrences(
+OccurrenceList LaMoFinder::ConformingOccurrences(
     const Motif& motif, const LabelProfile& scheme) const {
-  std::vector<MotifOccurrence> conforming;
   const size_t k = motif.pattern.num_vertices();
+  OccurrenceList conforming(k);
   std::optional<OccurrenceSimilarity> so_storage;
   if (motif.symmetric_sets_override.empty()) {
     so_storage.emplace(st_, motif.pattern);
@@ -115,7 +116,7 @@ std::vector<MotifOccurrence> LaMoFinder::ConformingOccurrences(
     so_storage.emplace(st_, k, motif.symmetric_sets_override);
   }
   const OccurrenceSimilarity& so = *so_storage;
-  for (const MotifOccurrence& occ : motif.occurrences) {
+  for (const std::span<const VertexId> occ : motif.occurrences) {
     // Per symmetric set, find a pairing in which every scheme position's
     // labels conform to the annotations of the protein assigned to it.
     // Feasibility per orbit is a perfect matching on the boolean
@@ -125,7 +126,7 @@ std::vector<MotifOccurrence> LaMoFinder::ConformingOccurrences(
     bool feasible = true;
     for (const auto& orbit : so.orbits()) {
       if (orbit.size() == 1) {
-        const VertexId protein = occ.proteins[orbit[0]];
+        const VertexId protein = occ[orbit[0]];
         if (!LabelsConform(ontology_, scheme[orbit[0]],
                            LabelSet(annotations_.TermsOf(protein).begin(),
                                     annotations_.TermsOf(protein).end()))) {
@@ -138,7 +139,7 @@ std::vector<MotifOccurrence> LaMoFinder::ConformingOccurrences(
           orbit.size(), std::vector<double>(orbit.size(), 0.0));
       for (size_t i = 0; i < orbit.size(); ++i) {
         for (size_t j = 0; j < orbit.size(); ++j) {
-          const VertexId protein = occ.proteins[orbit[j]];
+          const VertexId protein = occ[orbit[j]];
           const auto terms = annotations_.TermsOf(protein);
           score[i][j] = LabelsConform(ontology_, scheme[orbit[i]],
                                       LabelSet(terms.begin(), terms.end()))
@@ -157,12 +158,8 @@ std::vector<MotifOccurrence> LaMoFinder::ConformingOccurrences(
       }
     }
     if (!feasible) continue;
-    MotifOccurrence aligned;
-    aligned.proteins.resize(k);
-    for (size_t pos = 0; pos < k; ++pos) {
-      aligned.proteins[pos] = occ.proteins[alignment[pos]];
-    }
-    conforming.push_back(std::move(aligned));
+    const std::span<VertexId> aligned = conforming.push_back_uninitialized();
+    for (size_t pos = 0; pos < k; ++pos) aligned[pos] = occ[alignment[pos]];
   }
   return conforming;
 }
@@ -174,30 +171,29 @@ std::vector<LabeledMotif> LaMoFinder::LabelMotif(
   if (k == 0 || motif.occurrences.empty()) return results;
 
   // Deterministic strided sample of the occurrence set (caps the O(|D|^2)
-  // pairwise-similarity stage).
-  std::vector<const MotifOccurrence*> sample;
+  // pairwise-similarity stage), as occurrence indices.
+  std::vector<size_t> sample;
   if (config.max_occurrences != 0 &&
       motif.occurrences.size() > config.max_occurrences) {
     const double stride = static_cast<double>(motif.occurrences.size()) /
                           static_cast<double>(config.max_occurrences);
     for (size_t i = 0; i < config.max_occurrences; ++i) {
-      sample.push_back(
-          &motif.occurrences[static_cast<size_t>(i * stride)]);
+      sample.push_back(static_cast<size_t>(i * stride));
     }
   } else {
-    for (const auto& occ : motif.occurrences) sample.push_back(&occ);
+    for (size_t i = 0; i < motif.occurrences.size(); ++i) sample.push_back(i);
   }
 
   // Initial clusters: one per occurrence, labeled with the proteins' direct
   // annotations (line 4 of Algorithm 1: C <- D).
   std::vector<Cluster> clusters;
   clusters.reserve(sample.size());
-  for (const MotifOccurrence* occ : sample) {
+  for (const size_t i : sample) {
+    const std::span<const VertexId> occ = motif.occurrences[i];
     Cluster c;
     c.profile.resize(k);
-    c.members.push_back(*occ);
     for (size_t pos = 0; pos < k; ++pos) {
-      const auto terms = annotations_.TermsOf(occ->proteins[pos]);
+      const auto terms = annotations_.TermsOf(occ[pos]);
       c.profile[pos].assign(terms.begin(), terms.end());
     }
     c.saturated =
@@ -244,7 +240,7 @@ std::vector<LabeledMotif> LaMoFinder::LabelMotif(
 
   std::set<std::vector<TermId>> emitted;
   auto try_emit = [&](const Cluster& c) {
-    if (c.members.size() < config.sigma) return;
+    if (c.members < config.sigma) return;
     // The problem definition restricts labels to border informative FCs and
     // their descendants: labels that had to fall back to more general terms
     // during merging are dropped at emission, leaving "unknown" vertices.
@@ -264,8 +260,7 @@ std::vector<LabeledMotif> LaMoFinder::LabelMotif(
     // The labeled motif's frequency is the number of occurrences of g in G
     // that conform to the scheme (Section 5.1), counted over the *full*
     // occurrence set.
-    std::vector<MotifOccurrence> conforming =
-        ConformingOccurrences(motif, scheme);
+    OccurrenceList conforming = ConformingOccurrences(motif, scheme);
     if (conforming.size() < config.sigma) return;
     LabeledMotif labeled;
     labeled.pattern = motif.pattern;
@@ -319,14 +314,7 @@ std::vector<LabeledMotif> LaMoFinder::LabelMotif(
       CapLabels(weights_, config.max_labels_per_vertex, &merged[pos]);
     }
     a.profile = std::move(merged);
-    for (const MotifOccurrence& occ : b.members) {
-      MotifOccurrence realigned;
-      realigned.proteins.resize(k);
-      for (size_t pos = 0; pos < k; ++pos) {
-        realigned.proteins[pos] = occ.proteins[pairing[pos]];
-      }
-      a.members.push_back(std::move(realigned));
-    }
+    a.members += b.members;
     b.alive = false;
     a.saturated =
         BorderFraction(informative_, a.profile) > config.border_fraction;

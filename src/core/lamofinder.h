@@ -77,7 +77,7 @@ class LaMoFinder {
   /// Counts the occurrences of `motif` that conform to `scheme` and returns
   /// them re-aligned to the scheme (public for tests and the prediction
   /// stage).
-  std::vector<MotifOccurrence> ConformingOccurrences(
+  OccurrenceList ConformingOccurrences(
       const Motif& motif, const LabelProfile& scheme) const;
 
   /// The memoizing term-similarity engine (shared with callers that need

@@ -6,15 +6,15 @@
 namespace lamo {
 namespace {
 
-std::vector<VertexId> SortedSet(const MotifOccurrence& occ) {
-  std::vector<VertexId> sorted = occ.proteins;
+std::vector<VertexId> SortedSet(std::span<const VertexId> occ) {
+  std::vector<VertexId> sorted(occ.begin(), occ.end());
   std::sort(sorted.begin(), sorted.end());
   return sorted;
 }
 
 std::set<std::vector<VertexId>> OccurrenceSets(const LabeledMotif& lm) {
   std::set<std::vector<VertexId>> sets;
-  for (const MotifOccurrence& occ : lm.occurrences) {
+  for (const std::span<const VertexId> occ : lm.occurrences) {
     sets.insert(SortedSet(occ));
   }
   return sets;
@@ -77,8 +77,8 @@ std::vector<ParallelLabeledMotif> CombineBranchLabels(
       if (combined.num_branches() < 2) continue;
       if (common.size() < min_common_occurrences) continue;
       // Keep the seed-aligned occurrences whose vertex set survived.
-      std::vector<MotifOccurrence> kept;
-      for (const MotifOccurrence& occ : seed.occurrences) {
+      OccurrenceList kept(seed.occurrences.k());
+      for (const std::span<const VertexId> occ : seed.occurrences) {
         if (common.count(SortedSet(occ)) != 0) kept.push_back(occ);
       }
       combined.occurrences = std::move(kept);

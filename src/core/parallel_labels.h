@@ -22,7 +22,7 @@ struct ParallelLabeledMotif {
   std::array<std::optional<LabelProfile>, 3> schemes;
   /// Occurrences conforming to every present scheme (aligned to the first
   /// contributing branch's vertex order).
-  std::vector<MotifOccurrence> occurrences;
+  OccurrenceList occurrences;
   /// |occurrences|.
   size_t frequency = 0;
 

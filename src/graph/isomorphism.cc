@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "graph/automorphism.h"
 #include "util/logging.h"
 
 namespace lamo {
@@ -130,7 +131,11 @@ class Vf2State {
 
   // Returns false iff enumeration must stop entirely.
   bool TryCandidate(size_t pos, uint32_t u, size_t u_degree, VertexId cand) {
-    if (used_.count(cand) != 0) return true;
+    // The images matched so far are map_ at order_[0..pos): a scan of at
+    // most k entries, with no per-candidate allocation.
+    for (size_t prev = 0; prev < pos; ++prev) {
+      if (map_[order_[prev]] == cand) return true;
+    }
     if (target_.Degree(cand) < u_degree) return true;
     for (uint32_t w : matched_neighbors_[pos]) {
       if (!target_.HasEdge(cand, map_[w])) return true;
@@ -141,9 +146,7 @@ class Vf2State {
       }
     }
     map_[u] = cand;
-    used_.insert(cand);
     const bool keep_going = Extend(pos + 1);
-    used_.erase(cand);
     map_[u] = kInvalidVertex;
     return keep_going;
   }
@@ -154,7 +157,6 @@ class Vf2State {
   const std::function<bool(const Embedding&)>& callback_;
   std::vector<uint32_t> order_;
   Embedding map_;
-  std::unordered_set<VertexId> used_;
   std::vector<std::vector<uint32_t>> matched_neighbors_;
   std::vector<std::vector<uint32_t>> matched_non_neighbors_;
   size_t emitted_ = 0;
@@ -207,7 +209,24 @@ std::vector<std::vector<VertexId>> FindOccurrences(const SmallGraph& pattern,
 
 size_t CountOccurrences(const SmallGraph& pattern, const Graph& target,
                         size_t cap) {
-  return FindOccurrences(pattern, target, cap).size();
+  // Each vertex set inducing `pattern` is hit by exactly |Aut(pattern)|
+  // induced embeddings, one per automorphism, so the occurrence count is
+  // the embedding count divided by |Aut| -- no set of seen vertex sets.
+  // c occurrences are certain once c * |Aut| embeddings have been seen.
+  const uint64_t aut = AutomorphismGroupSize(pattern);
+  const uint64_t limit =
+      cap == 0 ? 0 : (cap > UINT64_MAX / aut ? UINT64_MAX : cap * aut);
+  uint64_t embeddings = 0;
+  EmbeddingOptions options;  // induced
+  options.max_embeddings = static_cast<size_t>(limit);
+  ForEachEmbedding(pattern, target, options, [&](const Embedding&) {
+    ++embeddings;
+    return true;
+  });
+  if (limit != 0 && embeddings >= limit) return cap;
+  LAMO_CHECK_EQ(embeddings % aut, 0u)
+      << "induced embeddings are not a multiple of |Aut(pattern)|";
+  return static_cast<size_t>(embeddings / aut);
 }
 
 }  // namespace lamo

@@ -46,7 +46,9 @@ std::vector<std::vector<VertexId>> FindOccurrences(const SmallGraph& pattern,
                                                    const Graph& target,
                                                    size_t max_occurrences = 0);
 
-/// Counts occurrences, stopping at `cap` if nonzero.
+/// Counts occurrences, returning `cap` once that many are certain if
+/// nonzero. Counts induced embeddings and divides by |Aut(pattern)|, so it
+/// allocates nothing per embedding; FindOccurrences is its oracle.
 size_t CountOccurrences(const SmallGraph& pattern, const Graph& target,
                         size_t cap = 0);
 

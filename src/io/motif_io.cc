@@ -19,6 +19,14 @@ void WriteEdges(std::ostream& out, const SmallGraph& pattern) {
   out << "\n";
 }
 
+void WriteOccurrences(std::ostream& out, const OccurrenceList& occurrences) {
+  for (const std::span<const VertexId> occ : occurrences) {
+    out << "occ";
+    for (const VertexId p : occ) out << " " << p;
+    out << "\n";
+  }
+}
+
 Status ParseEdges(const std::string_view line, size_t n, SmallGraph* out) {
   *out = SmallGraph(n);
   std::istringstream fields{std::string(Trim(line.substr(5)))};
@@ -40,19 +48,20 @@ Status ParseEdges(const std::string_view line, size_t n, SmallGraph* out) {
 }
 
 Status ParseOccurrence(const std::string_view line, size_t n,
-                       MotifOccurrence* occ) {
+                       OccurrenceList* occurrences) {
   // A bare "occ" line (no trailing space) is shorter than the prefix we
   // strip; substr past the end throws on string_view.
   if (line.size() < 4) return Status::Corruption("occurrence arity mismatch");
   std::istringstream fields{std::string(Trim(line.substr(4)))};
+  VertexId occ[SmallGraph::kMaxVertices];
+  size_t count = 0;
   uint64_t p = 0;
-  occ->proteins.clear();
   while (fields >> p) {
-    occ->proteins.push_back(static_cast<VertexId>(p));
+    if (count == n) return Status::Corruption("occurrence arity mismatch");
+    occ[count++] = static_cast<VertexId>(p);
   }
-  if (occ->proteins.size() != n) {
-    return Status::Corruption("occurrence arity mismatch");
-  }
+  if (count != n) return Status::Corruption("occurrence arity mismatch");
+  occurrences->push_back(std::span<const VertexId>(occ, n));
   return Status::OK();
 }
 
@@ -68,14 +77,10 @@ Status WriteMotifs(const std::vector<Motif>& motifs,
     out << "motif " << m.size() << " " << m.frequency << " " << m.uniqueness
         << "\n";
     WriteEdges(out, m.pattern);
-    for (const MotifOccurrence& occ : m.occurrences) {
-      out << "occ";
-      for (VertexId p : occ.proteins) out << " " << p;
-      out << "\n";
-    }
+    WriteOccurrences(out, m.occurrences);
     out << "end\n";
   }
-  return WriteFileAtomic(path, out.str());
+  return WriteFileAtomic(path, std::move(out).str());
 }
 
 StatusOr<std::vector<Motif>> ReadMotifs(const std::string& path) {
@@ -103,16 +108,15 @@ StatusOr<std::vector<Motif>> ReadMotifs(const std::string& path) {
         return Status::Corruption(path + ": motif size out of range");
       }
       current.pattern = SmallGraph(n);
+      current.occurrences = OccurrenceList(n);
     } else if (StartsWith(trimmed, "edges")) {
       if (!in_motif) return Status::Corruption(path + ": stray edges");
       LAMO_RETURN_IF_ERROR(ParseEdges(
           trimmed, current.pattern.num_vertices(), &current.pattern));
     } else if (StartsWith(trimmed, "occ")) {
       if (!in_motif) return Status::Corruption(path + ": stray occ");
-      MotifOccurrence occ;
       LAMO_RETURN_IF_ERROR(ParseOccurrence(
-          trimmed, current.pattern.num_vertices(), &occ));
-      current.occurrences.push_back(std::move(occ));
+          trimmed, current.pattern.num_vertices(), &current.occurrences));
     } else if (trimmed == "end") {
       if (!in_motif) return Status::Corruption(path + ": stray end");
       current.code = CanonicalCode(current.pattern);
@@ -144,14 +148,10 @@ Status WriteLabeledMotifs(const std::vector<LabeledMotif>& motifs,
       }
       out << "\n";
     }
-    for (const MotifOccurrence& occ : m.occurrences) {
-      out << "occ";
-      for (VertexId p : occ.proteins) out << " " << p;
-      out << "\n";
-    }
+    WriteOccurrences(out, m.occurrences);
     out << "end\n";
   }
-  return WriteFileAtomic(path, out.str());
+  return WriteFileAtomic(path, std::move(out).str());
 }
 
 StatusOr<std::vector<LabeledMotif>> ReadLabeledMotifs(
@@ -185,6 +185,7 @@ StatusOr<std::vector<LabeledMotif>> ReadLabeledMotifs(
         return Status::Corruption(path + ": motif size out of range");
       }
       current.pattern = SmallGraph(n);
+      current.occurrences = OccurrenceList(n);
       current.scheme.assign(n, {});
     } else if (StartsWith(trimmed, "edges")) {
       if (!in_motif) return Status::Corruption(path + ": stray edges");
@@ -207,10 +208,8 @@ StatusOr<std::vector<LabeledMotif>> ReadLabeledMotifs(
       }
     } else if (StartsWith(trimmed, "occ")) {
       if (!in_motif) return Status::Corruption(path + ": stray occ");
-      MotifOccurrence occ;
       LAMO_RETURN_IF_ERROR(ParseOccurrence(
-          trimmed, current.pattern.num_vertices(), &occ));
-      current.occurrences.push_back(std::move(occ));
+          trimmed, current.pattern.num_vertices(), &current.occurrences));
     } else if (trimmed == "end") {
       if (!in_motif) return Status::Corruption(path + ": stray end");
       current.code = CanonicalCode(current.pattern);

@@ -64,7 +64,7 @@ std::vector<DirectedMotif> FindDirectedNetworkMotifs(
   // representative and the aligned occurrence lists.
   struct ClassEntry {
     SmallDigraph pattern{0};
-    std::vector<MotifOccurrence> occurrences;
+    OccurrenceList occurrences;
   };
   std::map<std::vector<uint8_t>, ClassEntry> classes;
   const Graph underlying = g.Underlying();
@@ -73,13 +73,15 @@ std::vector<DirectedMotif> FindDirectedNetworkMotifs(
         const SmallDigraph sub = SmallDigraph::InducedSubgraph(g, set);
         const DirectedCanonicalResult canon = CanonicalizeDirected(sub);
         auto [it, inserted] = classes.try_emplace(canon.code);
-        if (inserted) it->second.pattern = canon.graph;
-        MotifOccurrence occ;
-        occ.proteins.resize(set.size());
-        for (size_t pos = 0; pos < set.size(); ++pos) {
-          occ.proteins[pos] = set[canon.canonical_to_original[pos]];
+        if (inserted) {
+          it->second.pattern = canon.graph;
+          it->second.occurrences = OccurrenceList(set.size());
         }
-        it->second.occurrences.push_back(std::move(occ));
+        const std::span<VertexId> occ =
+            it->second.occurrences.push_back_uninitialized();
+        for (size_t pos = 0; pos < set.size(); ++pos) {
+          occ[pos] = set[canon.canonical_to_original[pos]];
+        }
         return true;
       });
 

@@ -38,7 +38,7 @@ const size_t kFpUniqReplicate = FaultPointId("mine.uniq.replicate");
 
 struct ClassEntry {
   SmallGraph pattern{0};
-  std::vector<MotifOccurrence> occurrences;
+  OccurrenceList occurrences;
 };
 using ClassMap = std::map<std::vector<uint8_t>, ClassEntry>;
 
@@ -47,12 +47,7 @@ using ClassMap = std::map<std::vector<uint8_t>, ClassEntry>;
 void MergeClassMap(ClassMap* acc, ClassMap part) {
   for (auto& [code, entry] : part) {
     auto [it, inserted] = acc->try_emplace(code, std::move(entry));
-    if (!inserted) {
-      auto& dst = it->second.occurrences;
-      auto& src = entry.occurrences;
-      dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-                 std::make_move_iterator(src.end()));
-    }
+    if (!inserted) it->second.occurrences.append(entry.occurrences);
   }
 }
 
@@ -76,11 +71,7 @@ std::string EncodeEnumState(size_t next_root, const ClassMap& classes) {
     w.PutString(std::string_view(reinterpret_cast<const char*>(code.data()),
                                  code.size()));
     EncodeSmallGraph(entry.pattern, &w);
-    w.PutU64(entry.occurrences.size());
-    for (const MotifOccurrence& occ : entry.occurrences) {
-      w.PutU64(occ.proteins.size());
-      for (const VertexId v : occ.proteins) w.PutU32(v);
-    }
+    EncodeOccurrences(entry.occurrences, &w);
   }
   return w.TakeBytes();
 }
@@ -99,19 +90,8 @@ Status DecodeEnumState(std::string_view payload, size_t* next_root,
     LAMO_RETURN_IF_ERROR(r.GetString(&code_bytes));
     ClassEntry entry;
     LAMO_RETURN_IF_ERROR(DecodeSmallGraph(&r, &entry.pattern));
-    uint64_t num_occurrences = 0;
-    LAMO_RETURN_IF_ERROR(r.GetU64(&num_occurrences));
-    for (uint64_t o = 0; o < num_occurrences; ++o) {
-      uint64_t num_proteins = 0;
-      LAMO_RETURN_IF_ERROR(r.GetU64(&num_proteins));
-      if (num_proteins > SmallGraph::kMaxVertices) {
-        return Status::Corruption("enum occurrence size out of range");
-      }
-      MotifOccurrence occ;
-      occ.proteins.assign(static_cast<size_t>(num_proteins), 0);
-      for (VertexId& v : occ.proteins) LAMO_RETURN_IF_ERROR(r.GetU32(&v));
-      entry.occurrences.push_back(std::move(occ));
-    }
+    LAMO_RETURN_IF_ERROR(DecodeOccurrences(
+        &r, entry.pattern.num_vertices(), &entry.occurrences));
     std::vector<uint8_t> code(code_bytes.begin(), code_bytes.end());
     classes->emplace(std::move(code), std::move(entry));
   }
@@ -224,13 +204,15 @@ std::vector<Motif> FindNetworkMotifsEsu(const Graph& graph,
               }
               const CanonicalResult& canon = *slot->second;
               auto [it, inserted] = local.try_emplace(canon.code);
-              if (inserted) it->second.pattern = canon.graph;
-              MotifOccurrence occ;
-              occ.proteins.resize(size);
-              for (size_t pos = 0; pos < size; ++pos) {
-                occ.proteins[pos] = set[canon.canonical_to_original[pos]];
+              if (inserted) {
+                it->second.pattern = canon.graph;
+                it->second.occurrences = OccurrenceList(size);
               }
-              it->second.occurrences.push_back(std::move(occ));
+              const std::span<VertexId> occ =
+                  it->second.occurrences.push_back_uninitialized();
+              for (size_t pos = 0; pos < size; ++pos) {
+                occ[pos] = set[canon.canonical_to_original[pos]];
+              }
               return true;
             });
         partials[chunk] = std::move(local);

@@ -6,35 +6,35 @@
 
 namespace lamo {
 
-size_t CountVertexDisjoint(const std::vector<MotifOccurrence>& occurrences) {
+size_t CountVertexDisjoint(const OccurrenceList& occurrences) {
   std::set<VertexId> used;
   size_t count = 0;
-  for (const MotifOccurrence& occ : occurrences) {
+  for (const std::span<const VertexId> occ : occurrences) {
     bool disjoint = true;
-    for (VertexId p : occ.proteins) {
+    for (VertexId p : occ) {
       if (used.count(p) != 0) {
         disjoint = false;
         break;
       }
     }
     if (!disjoint) continue;
-    used.insert(occ.proteins.begin(), occ.proteins.end());
+    used.insert(occ.begin(), occ.end());
     ++count;
   }
   return count;
 }
 
 size_t CountEdgeDisjoint(const SmallGraph& pattern,
-                         const std::vector<MotifOccurrence>& occurrences) {
+                         const OccurrenceList& occurrences) {
   const auto pattern_edges = pattern.Edges();
   std::set<std::pair<VertexId, VertexId>> used;
   size_t count = 0;
-  for (const MotifOccurrence& occ : occurrences) {
+  for (const std::span<const VertexId> occ : occurrences) {
     std::vector<std::pair<VertexId, VertexId>> mapped;
     mapped.reserve(pattern_edges.size());
     for (const auto& [a, b] : pattern_edges) {
-      VertexId x = occ.proteins[a];
-      VertexId y = occ.proteins[b];
+      VertexId x = occ[a];
+      VertexId y = occ[b];
       if (x > y) std::swap(x, y);
       mapped.emplace_back(x, y);
     }

@@ -24,12 +24,12 @@ namespace lamo {
 enum class FrequencyMeasure { kF1AllOccurrences, kF2EdgeDisjoint, kF3VertexDisjoint };
 
 /// Greedy count of pairwise vertex-disjoint occurrences.
-size_t CountVertexDisjoint(const std::vector<MotifOccurrence>& occurrences);
+size_t CountVertexDisjoint(const OccurrenceList& occurrences);
 
 /// Greedy count of pairwise edge-disjoint occurrences of `pattern` (two
 /// occurrences may share vertices but not a mapped pattern edge).
 size_t CountEdgeDisjoint(const SmallGraph& pattern,
-                         const std::vector<MotifOccurrence>& occurrences);
+                         const OccurrenceList& occurrences);
 
 /// Frequency of a motif under the chosen measure (F1 is
 /// occurrences.size()).

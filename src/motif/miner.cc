@@ -33,13 +33,15 @@ const size_t kFpMinerLevel = FaultPointId("mine.level");
 /// Stored parents grown per block: a constant, so block boundaries and the
 /// merge order never depend on the thread count.
 constexpr size_t kParentsPerBlock = 256;
-/// Blocks grown per parallel wave before they merge.
-constexpr size_t kBlocksPerWave = 32;
+/// Blocks grown per parallel wave before they merge. A wave's buffers (a
+/// canonical-form pointer and k+1 ids per candidate) are the largest
+/// transient of a level, so the wave is kept small.
+constexpr size_t kBlocksPerWave = 16;
 
 // In-progress pattern at one level.
 struct PatternEntry {
   SmallGraph pattern;  // canonical form
-  std::vector<MotifOccurrence> occurrences;
+  OccurrenceList occurrences;
 };
 
 using LevelMap = std::map<std::vector<uint8_t>, PatternEntry>;
@@ -50,11 +52,12 @@ using LevelMap = std::map<std::vector<uint8_t>, PatternEntry>;
 class ParentIndex {
  public:
   ParentIndex(const LevelMap& level, size_t k) : k_(k) {
+    size_t total = 0;
+    for (const auto& [code, entry] : level) total += entry.occurrences.size();
+    aligned_.reserve(total * k_);
     for (const auto& [code, entry] : level) {
-      for (const MotifOccurrence& occ : entry.occurrences) {
-        aligned_.insert(aligned_.end(), occ.proteins.begin(),
-                        occ.proteins.end());
-      }
+      const std::span<const VertexId> ids = entry.occurrences.ids();
+      aligned_.insert(aligned_.end(), ids.begin(), ids.end());
     }
     LAMO_CHECK_LT(size(), size_t{kEmpty});
     sorted_ = aligned_;
@@ -190,16 +193,12 @@ std::string EncodeLevelState(size_t level_size, const LevelMap& level,
   w.PutU64(level.size());
   size_t moved = results.size() - level.size();
   for (const auto& [code, entry] : level) {
-    const std::vector<MotifOccurrence>& occurrences =
+    const OccurrenceList& occurrences =
         level_in_results ? results[moved++].occurrences : entry.occurrences;
     w.PutString(std::string_view(reinterpret_cast<const char*>(code.data()),
                                  code.size()));
     EncodeSmallGraph(entry.pattern, &w);
-    w.PutU64(occurrences.size());
-    for (const MotifOccurrence& occ : occurrences) {
-      w.PutU64(occ.proteins.size());
-      for (const VertexId v : occ.proteins) w.PutU32(v);
-    }
+    EncodeOccurrences(occurrences, &w);
   }
   w.PutU64(results.size());
   for (const Motif& m : results) EncodeMotif(m, &w);
@@ -220,19 +219,8 @@ Status DecodeLevelState(std::string_view payload, size_t* level_size,
     LAMO_RETURN_IF_ERROR(r.GetString(&code_bytes));
     PatternEntry entry;
     LAMO_RETURN_IF_ERROR(DecodeSmallGraph(&r, &entry.pattern));
-    uint64_t num_occurrences = 0;
-    LAMO_RETURN_IF_ERROR(r.GetU64(&num_occurrences));
-    for (uint64_t o = 0; o < num_occurrences; ++o) {
-      uint64_t num_proteins = 0;
-      LAMO_RETURN_IF_ERROR(r.GetU64(&num_proteins));
-      if (num_proteins > SmallGraph::kMaxVertices) {
-        return Status::Corruption("miner occurrence size out of range");
-      }
-      MotifOccurrence occ;
-      occ.proteins.assign(static_cast<size_t>(num_proteins), 0);
-      for (VertexId& v : occ.proteins) LAMO_RETURN_IF_ERROR(r.GetU32(&v));
-      entry.occurrences.push_back(std::move(occ));
-    }
+    LAMO_RETURN_IF_ERROR(DecodeOccurrences(
+        &r, entry.pattern.num_vertices(), &entry.occurrences));
     level->emplace(std::vector<uint8_t>(code_bytes.begin(), code_bytes.end()),
                    std::move(entry));
   }
@@ -312,8 +300,9 @@ std::vector<Motif> FrequentSubgraphMiner::Mine() {
     edge_pattern.AddEdge(0, 1);
     PatternEntry entry;
     entry.pattern = edge_pattern;
+    entry.occurrences = OccurrenceList(2);
     for (const auto& [a, b] : graph_.Edges()) {
-      entry.occurrences.push_back(MotifOccurrence{{a, b}});
+      entry.occurrences.push_back({a, b});
     }
     if (entry.occurrences.size() >= config_.min_frequency) {
       level.emplace(edge_pattern.AdjacencyCode(), std::move(entry));
@@ -360,13 +349,16 @@ std::vector<Motif> FrequentSubgraphMiner::Mine() {
         for (size_t c = 0; c < block.canon.size(); ++c) {
           const CanonicalResult& canon = *block.canon[c];
           auto [it, inserted] = next.try_emplace(canon.code);
-          if (inserted) it->second.pattern = canon.graph;
-          std::vector<MotifOccurrence>& occurrences = it->second.occurrences;
+          if (inserted) {
+            it->second.pattern = canon.graph;
+            it->second.occurrences = OccurrenceList(size + 1);
+          }
+          OccurrenceList& occurrences = it->second.occurrences;
           if (cap != 0 && occurrences.size() >= cap) {
             continue;  // frequency becomes a lower bound at the cap
           }
-          const VertexId* aligned = &block.aligned[c * (size + 1)];
-          occurrences.push_back(MotifOccurrence{{aligned, aligned + size + 1}});
+          occurrences.push_back(std::span<const VertexId>(
+              &block.aligned[c * (size + 1)], size + 1));
         }
       }
     }

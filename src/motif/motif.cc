@@ -48,15 +48,43 @@ Status DecodeSmallGraph(ByteReader* r, SmallGraph* g) {
   return Status::OK();
 }
 
+void EncodeOccurrences(const OccurrenceList& occurrences, ByteWriter* w) {
+  w->PutU64(occurrences.size());
+  for (const std::span<const VertexId> occ : occurrences) {
+    w->PutU64(occ.size());
+    for (const VertexId v : occ) w->PutU32(v);
+  }
+}
+
+Status DecodeOccurrences(ByteReader* r, size_t k, OccurrenceList* out) {
+  uint64_t num_occurrences = 0;
+  LAMO_RETURN_IF_ERROR(r->GetU64(&num_occurrences));
+  // Each record is a u64 length and k u32 ids, so the count is bounded by
+  // the bytes left; checking that up front lets the list be sized once.
+  if (k == 0 ? num_occurrences != 0
+             : num_occurrences > r->remaining() / (8 + 4 * k)) {
+    return Status::Corruption("occurrence count out of range");
+  }
+  *out = OccurrenceList(k);
+  out->reserve(static_cast<size_t>(num_occurrences));
+  for (uint64_t i = 0; i < num_occurrences; ++i) {
+    uint64_t num_proteins = 0;
+    LAMO_RETURN_IF_ERROR(r->GetU64(&num_proteins));
+    if (num_proteins != k) {
+      return Status::Corruption("occurrence size does not match the pattern");
+    }
+    for (VertexId& v : out->push_back_uninitialized()) {
+      LAMO_RETURN_IF_ERROR(r->GetU32(&v));
+    }
+  }
+  return Status::OK();
+}
+
 void EncodeMotif(const Motif& m, ByteWriter* w) {
   EncodeSmallGraph(m.pattern, w);
   w->PutU64(m.code.size());
   for (const uint8_t b : m.code) w->PutU8(b);
-  w->PutU64(m.occurrences.size());
-  for (const MotifOccurrence& occ : m.occurrences) {
-    w->PutU64(occ.proteins.size());
-    for (const VertexId v : occ.proteins) w->PutU32(v);
-  }
+  EncodeOccurrences(m.occurrences, w);
   w->PutU64(m.frequency);
   w->PutDouble(m.uniqueness);
   w->PutU64(m.symmetric_sets_override.size());
@@ -75,20 +103,8 @@ Status DecodeMotif(ByteReader* r, Motif* m) {
   }
   m->code.assign(static_cast<size_t>(code_size), 0);
   for (uint8_t& b : m->code) LAMO_RETURN_IF_ERROR(r->GetU8(&b));
-  uint64_t num_occurrences = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU64(&num_occurrences));
-  m->occurrences.clear();
-  for (uint64_t i = 0; i < num_occurrences; ++i) {
-    uint64_t num_proteins = 0;
-    LAMO_RETURN_IF_ERROR(r->GetU64(&num_proteins));
-    if (num_proteins > SmallGraph::kMaxVertices) {
-      return Status::Corruption("motif occurrence size out of range");
-    }
-    MotifOccurrence occ;
-    occ.proteins.assign(static_cast<size_t>(num_proteins), 0);
-    for (VertexId& v : occ.proteins) LAMO_RETURN_IF_ERROR(r->GetU32(&v));
-    m->occurrences.push_back(std::move(occ));
-  }
+  LAMO_RETURN_IF_ERROR(
+      DecodeOccurrences(r, m->pattern.num_vertices(), &m->occurrences));
   uint64_t frequency = 0;
   LAMO_RETURN_IF_ERROR(r->GetU64(&frequency));
   m->frequency = static_cast<size_t>(frequency);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -311,9 +313,26 @@ std::vector<WorkerCounters> ObsSink::PerThreadCounters() const {
   return result;
 }
 
+uint64_t ObsProcessPeakRssKb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  uint64_t kb = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %" SCNu64, &kb) == 1) break;
+  }
+  std::fclose(f);
+  return kb;
+}
+
 std::map<std::string, double> ObsSink::Gauges() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gauges_;
+  std::map<std::string, double> gauges;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    gauges = gauges_;
+  }
+  gauges[kObsPeakRssGauge] = static_cast<double>(ObsProcessPeakRssKb());
+  return gauges;
 }
 
 std::vector<HistogramSnapshot> ObsSink::Histograms() const {

@@ -131,6 +131,14 @@ HistogramSnapshot MergeHistograms(const HistogramSnapshot& a,
 /// connection thread ends, so obs memory follows live connections.
 void ObsReleaseThreadState();
 
+/// Name of the always-present gauge holding ObsProcessPeakRssKb().
+inline constexpr const char* kObsPeakRssGauge = "process.peak_rss_kb";
+
+/// This process's own peak resident set in kB: VmHWM from
+/// /proc/self/status (0 where unavailable). Unlike getrusage's ru_maxrss
+/// seen by a parent, it never includes the spawner's pre-exec pages.
+uint64_t ObsProcessPeakRssKb();
+
 /// Labels the calling thread in per-worker breakdowns ("worker0", ...).
 /// Threads that never call this are reported as "main".
 void ObsSetThreadName(const std::string& name);
@@ -186,7 +194,8 @@ class ObsSink {
   /// at snapshot time appear; zero cells are included.
   std::vector<WorkerCounters> PerThreadCounters() const;
 
-  /// Gauge snapshot.
+  /// Gauge snapshot: the explicitly set gauges plus kObsPeakRssGauge, read
+  /// at snapshot time.
   std::map<std::string, double> Gauges() const;
 
   /// Merged histograms over all threads, indexed by histogram id. Every

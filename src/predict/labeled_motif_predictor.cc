@@ -29,9 +29,9 @@ LabeledMotifPredictor::LabeledMotifPredictor(
   index_.resize(context_.ppi->num_vertices());
   for (uint32_t mi = 0; mi < motifs_.size(); ++mi) {
     const LabeledMotif& motif = motifs_[mi];
-    for (const MotifOccurrence& occ : motif.occurrences) {
-      for (uint32_t pos = 0; pos < occ.proteins.size(); ++pos) {
-        const VertexId p = occ.proteins[pos];
+    for (const std::span<const VertexId> occ : motif.occurrences) {
+      for (uint32_t pos = 0; pos < occ.size(); ++pos) {
+        const VertexId p = occ[pos];
         auto& sites = index_[p];
         const Site site{mi, pos};
         const bool seen =
@@ -66,8 +66,8 @@ std::vector<Prediction> LabeledMotifPredictor::Predict(ProteinId p) const {
     } else {
       // Ablation: frequency of category x among the proteins at vertex v
       // across g's occurrences, excluding p itself (leave-one-out).
-      for (const MotifOccurrence& occ : motif.occurrences) {
-        const VertexId q = occ.proteins[site.vertex];
+      for (const std::span<const VertexId> occ : motif.occurrences) {
+        const VertexId q = occ[site.vertex];
         if (q == p) continue;
         for (size_t ci = 0; ci < context_.categories.size(); ++ci) {
           if (context_.HasCategory(q, context_.categories[ci])) {

@@ -342,6 +342,8 @@ std::string RouterService::StatsView() {
   std::snprintf(buffer, sizeof buffer, "start_time %.3f",
                 std::chrono::duration<double>(start_.time_since_epoch()).count());
   lines.emplace_back(buffer);
+  lines.push_back(std::string(kObsPeakRssGauge) + " " +
+                  std::to_string(ObsProcessPeakRssKb()));
 
   // One line per backend with the identity fields from its own STATS —
   // after a rolling reload this is how an operator verifies every backend

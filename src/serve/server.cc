@@ -483,6 +483,8 @@ std::vector<std::string> SnapshotService::Stats() const {
   std::snprintf(buffer, sizeof buffer, "start_time %.3f",
                 std::chrono::duration<double>(start_.time_since_epoch()).count());
   lines.emplace_back(buffer);
+  lines.push_back(std::string(kObsPeakRssGauge) + " " +
+                  std::to_string(ObsProcessPeakRssKb()));
   return lines;
 }
 

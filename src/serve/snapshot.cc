@@ -395,9 +395,9 @@ Snapshot BuildSnapshot(Graph graph, Ontology ontology,
   // first-seen order) to LabeledMotifPredictor's.
   snap.sites.resize(snap.graph.num_vertices());
   for (uint32_t mi = 0; mi < snap.motifs.size(); ++mi) {
-    for (const MotifOccurrence& occ : snap.motifs[mi].occurrences) {
-      for (uint32_t pos = 0; pos < occ.proteins.size(); ++pos) {
-        auto& sites = snap.sites[occ.proteins[pos]];
+    for (const std::span<const VertexId> occ : snap.motifs[mi].occurrences) {
+      for (uint32_t pos = 0; pos < occ.size(); ++pos) {
+        auto& sites = snap.sites[occ[pos]];
         const SnapshotSite site{mi, pos};
         if (std::find(sites.begin(), sites.end(), site) == sites.end()) {
           sites.push_back(site);
@@ -453,14 +453,14 @@ Snapshot MakeShard(const Snapshot& full, uint32_t shard_id,
   // uniqueness and strength are untouched — they describe the whole
   // interactome, not the shard.
   for (LabeledMotif& motif : shard.motifs) {
-    std::vector<MotifOccurrence> kept;
-    kept.reserve(motif.occurrences.size());
-    for (MotifOccurrence& occ : motif.occurrences) {
+    OccurrenceList kept(motif.occurrences.k());
+    for (const std::span<const VertexId> occ : motif.occurrences) {
       const bool owned =
-          std::any_of(occ.proteins.begin(), occ.proteins.end(),
+          std::any_of(occ.begin(), occ.end(),
                       [&shard](VertexId p) { return shard.OwnsProtein(p); });
-      if (owned) kept.push_back(std::move(occ));
+      if (owned) kept.push_back(occ);
     }
+    kept.shrink_to_fit();
     motif.occurrences = std::move(kept);
   }
   for (uint32_t p = 0; p < shard.sites.size(); ++p) {
@@ -537,9 +537,7 @@ std::string EncodeSnapshot(const Snapshot& snap) {
     PutU8Vec(&out, m.code);
     for (size_t v = 0; v < n; ++v) PutU32Vec(&out, m.scheme[v]);
     PutU64(&out, m.occurrences.size());
-    for (const MotifOccurrence& occ : m.occurrences) {
-      for (VertexId p : occ.proteins) PutU32(&out, p);
-    }
+    for (const VertexId p : m.occurrences.ids()) PutU32(&out, p);
     PutU64(&out, m.frequency);
     PutDouble(&out, m.uniqueness);
     PutDouble(&out, m.strength);
@@ -753,13 +751,12 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
       }
     }
     const size_t num_occurrences = in.GetCount(4 * n, "occurrence");
-    m.occurrences.resize(in.ok() ? num_occurrences : 0);
-    for (MotifOccurrence& occ : m.occurrences) {
-      if (!in.ok()) break;
-      occ.proteins.resize(n);
-      for (size_t v = 0; v < n; ++v) {
-        occ.proteins[v] = in.GetU32();
-        if (in.ok() && occ.proteins[v] >= num_proteins) {
+    m.occurrences = OccurrenceList(n);
+    m.occurrences.reserve(num_occurrences);
+    for (size_t o = 0; o < num_occurrences && in.ok(); ++o) {
+      for (VertexId& p : m.occurrences.push_back_uninitialized()) {
+        p = in.GetU32();
+        if (in.ok() && p >= num_proteins) {
           in.Fail("occurrence protein out of range");
           break;
         }

@@ -22,23 +22,25 @@ std::string CodeKey(const std::vector<uint8_t>& code) {
 
 // The occurrence aligned the way the mining pipeline aligns emissions:
 // canonical position i holds the canonical_to_original[i]-th smallest
-// vertex of the set.
-MotifOccurrence AlignedOccurrence(const std::vector<VertexId>& verts,
-                                  const CanonicalResult& canon) {
-  MotifOccurrence occ;
-  occ.proteins.resize(verts.size());
+// vertex of the set. A one-occurrence list: the probe that
+// ConformingOccurrences checks.
+OccurrenceList AlignedOccurrence(const std::vector<VertexId>& verts,
+                                 const CanonicalResult& canon) {
+  OccurrenceList occ(verts.size());
+  const std::span<VertexId> aligned = occ.push_back_uninitialized();
   for (size_t i = 0; i < verts.size(); ++i) {
-    occ.proteins[i] = verts[canon.canonical_to_original[i]];
+    aligned[i] = verts[canon.canonical_to_original[i]];
   }
   return occ;
 }
 
 bool SameVertexSet(const std::vector<VertexId>& sorted_verts,
-                   const std::vector<VertexId>& proteins) {
+                   std::span<const VertexId> proteins) {
   if (sorted_verts.size() != proteins.size()) return false;
-  std::vector<VertexId> sorted = proteins;
-  std::sort(sorted.begin(), sorted.end());
-  return sorted == sorted_verts;
+  VertexId sorted[SmallGraph::kMaxVertices];
+  std::copy(proteins.begin(), proteins.end(), sorted);
+  std::sort(sorted, sorted + proteins.size());
+  return std::equal(sorted_verts.begin(), sorted_verts.end(), sorted);
 }
 
 }  // namespace
@@ -175,23 +177,24 @@ Status UpdateEngine::Apply(bool add, VertexId u, VertexId v,
       if (before != nullptr) {
         const auto mis = by_code->second.find(CodeKey(before->code));
         if (mis != by_code->second.end()) {
-          const MotifOccurrence aligned = AlignedOccurrence(ps.verts, *before);
+          const OccurrenceList aligned = AlignedOccurrence(ps.verts, *before);
           for (const uint32_t mi : mis->second) {
             LabeledMotif& motif = snap_->motifs[mi];
             // Conformance is label-only, so the verdict is the one the
             // labeling stage reached at pack time: conforming implies the
             // occurrence counts in the (global) frequency.
-            const Motif probe{motif.pattern, motif.code, {aligned}, 1, -1.0, {}};
+            const Motif probe{motif.pattern, motif.code, aligned, 1, -1.0, {}};
             if (finder_.ConformingOccurrences(probe, motif.scheme).empty()) {
               continue;
             }
             --freq_delta[mi];
             // The stored list holds it only if this shard owns a member.
-            for (auto it = motif.occurrences.begin();
-                 it != motif.occurrences.end(); ++it) {
-              if (SameVertexSet(ps.verts, it->proteins)) {
-                for (const VertexId p : it->proteins) affected.insert(p);
-                motif.occurrences.erase(it);
+            for (size_t i = 0; i < motif.occurrences.size(); ++i) {
+              if (SameVertexSet(ps.verts, motif.occurrences[i])) {
+                for (const VertexId p : motif.occurrences[i]) {
+                  affected.insert(p);
+                }
+                motif.occurrences.erase(i);
                 ++result->occ_removed;
                 break;
               }
@@ -202,23 +205,23 @@ Status UpdateEngine::Apply(bool add, VertexId u, VertexId v,
       if (after != nullptr) {
         const auto mis = by_code->second.find(CodeKey(after->code));
         if (mis != by_code->second.end()) {
-          const MotifOccurrence aligned = AlignedOccurrence(ps.verts, *after);
+          const OccurrenceList aligned = AlignedOccurrence(ps.verts, *after);
           bool owned = snap_->num_shards == 1;
           for (const VertexId p : ps.verts) {
             owned = owned || snap_->OwnsProtein(p);
           }
           for (const uint32_t mi : mis->second) {
             LabeledMotif& motif = snap_->motifs[mi];
-            const Motif probe{motif.pattern, motif.code, {aligned}, 1, -1.0, {}};
-            const std::vector<MotifOccurrence> conf =
+            const Motif probe{motif.pattern, motif.code, aligned, 1, -1.0, {}};
+            const OccurrenceList conf =
                 finder_.ConformingOccurrences(probe, motif.scheme);
             if (conf.empty()) continue;
             ++freq_delta[mi];
             if (owned) {
-              // conf.front() carries the scheme alignment LabelAll would
+              // conf[0] carries the scheme alignment LabelAll would
               // have stored — the repack byte-identity depends on it.
-              motif.occurrences.push_back(conf.front());
-              for (const VertexId p : conf.front().proteins) {
+              motif.occurrences.push_back(conf[0]);
+              for (const VertexId p : conf[0]) {
                 affected.insert(p);
               }
               ++result->occ_added;
@@ -263,9 +266,9 @@ Status UpdateEngine::Apply(bool add, VertexId u, VertexId v,
   // every row siting a changed motif — into the affected set.
   std::vector<std::vector<SnapshotSite>> sites(snap_->graph.num_vertices());
   for (uint32_t mi = 0; mi < snap_->motifs.size(); ++mi) {
-    for (const MotifOccurrence& occ : snap_->motifs[mi].occurrences) {
-      for (uint32_t pos = 0; pos < occ.proteins.size(); ++pos) {
-        auto& row = sites[occ.proteins[pos]];
+    for (const std::span<const VertexId> occ : snap_->motifs[mi].occurrences) {
+      for (uint32_t pos = 0; pos < occ.size(); ++pos) {
+        auto& row = sites[occ[pos]];
         const SnapshotSite site{mi, pos};
         if (std::find(row.begin(), row.end(), site) == row.end()) {
           row.push_back(site);
@@ -333,10 +336,10 @@ Status UpdateEngine::ScoreEdge(VertexId u, VertexId v, EdgeScore* out) {
       const CanonicalResult& canon = cache.Lookup(ps.bits_with);
       const auto mis = by_code.find(CodeKey(canon.code));
       if (mis == by_code.end()) continue;
-      const MotifOccurrence aligned = AlignedOccurrence(ps.verts, canon);
+      const OccurrenceList aligned = AlignedOccurrence(ps.verts, canon);
       for (const uint32_t mi : mis->second) {
         const LabeledMotif& motif = snap_->motifs[mi];
-        const Motif probe{motif.pattern, motif.code, {aligned}, 1, -1.0, {}};
+        const Motif probe{motif.pattern, motif.code, aligned, 1, -1.0, {}};
         if (!finder_.ConformingOccurrences(probe, motif.scheme).empty()) {
           ++completions[mi];
         }

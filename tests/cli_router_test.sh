@@ -61,7 +61,9 @@ grep -q "pack" "$WORK/missing_shards.err" || {
 wait_port() {
   PORT=""
   for _ in $(seq 1 200); do
-    PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$1")"
+    # The log may not exist yet (the shell opens it in the forked
+    # child): read that as "no banner yet" and keep polling.
+    PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$1" 2> /dev/null)" || true
     [ -n "$PORT" ] && return 0
     sleep 0.1
   done

@@ -56,8 +56,10 @@ test "$rc" -ne 0 || {
 SERVER=$!
 PORT=""
 for _ in $(seq 1 100); do
+  # The log may not exist yet (the shell opens it in the forked
+  # child): read that as "no banner yet" and keep polling.
   PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-    "$WORK/serve.log")"
+    "$WORK/serve.log" 2> /dev/null)" || true
   [ -n "$PORT" ] && break
   sleep 0.1
 done

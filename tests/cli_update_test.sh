@@ -20,7 +20,21 @@ WORK="$(mktemp -d)"
 SERVER=""
 SERVER2=""
 ROUTER=""
+# PART names the section running now; on any failing exit the trap says
+# which one failed and dumps the daemon logs written so far, so a failure
+# that `set -e` turns into a silent exit (a failing query, say) still
+# leaves a diagnosis.
+PART="setup"
 cleanup() {
+  rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "FAIL in Part $PART (exit $rc)" >&2
+    for log in "$WORK"/serve_*.log "$WORK"/router*.log; do
+      [ -f "$log" ] || continue
+      echo "--- $(basename "$log"):" >&2
+      cat "$log" >&2
+    done
+  fi
   [ -n "$SERVER" ] && kill "$SERVER" 2> /dev/null
   [ -n "$SERVER2" ] && kill "$SERVER2" 2> /dev/null
   [ -n "$ROUTER" ] && kill "$ROUTER" 2> /dev/null
@@ -65,6 +79,7 @@ TERMINFO T0005
 EOF
 
 # --- Part 1: live == repack == replay, byte for byte. --------------------
+PART=1
 # Live: mutations then queries through one --stdin server with a journal.
 # Each mutation answers with a 2-line OK response; drop all 6.
 grep -v '^#' "$WORK/deltas.txt" | cat - "$WORK/queries.txt" \
@@ -129,7 +144,9 @@ test "$(grep -c 'EDGE' "$WORK/journal")" -eq 3 || {
 wait_port() {
   PORT=""
   for _ in $(seq 1 200); do
-    PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$1")"
+    # The log may not exist yet (the shell opens it in the forked
+    # child): read that as "no banner yet" and keep polling.
+    PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$1" 2> /dev/null)" || true
     [ -n "$PORT" ] && return 0
     sleep 0.1
   done
@@ -138,6 +155,7 @@ wait_port() {
 }
 
 # --- Part 2: stale-cache regression + PREDICT_EDGE over TCP. -------------
+PART=2
 # Server A serves the base snapshot with the response cache on; server B
 # serves the repacked (edge-deleted) snapshot as the oracle.
 "$LAMO" serve --snapshot "$WORK/model.lamosnap" --port 0 \
@@ -208,8 +226,9 @@ SERVER=""
 }
 
 # --- Part 3: router fans mutations out to every backend. -----------------
+PART=3
 "$LAMO" router --snapshot "$WORK/model.lamosnap" --backends 2 \
-  --mode sharded --port 0 > "$WORK/router.log" 2> /dev/null &
+  --mode sharded --port 0 > "$WORK/router.log" 2> "$WORK/router.err.log" &
 ROUTER=$!
 wait_port "$WORK/router.log"
 RPORT="$PORT"
@@ -238,6 +257,7 @@ wait "$ROUTER" 2> /dev/null || true
 ROUTER=""
 
 # --- Part 4: --watch-deltas tails a file into the same update path. ------
+PART=4
 : > "$WORK/watched.txt"
 "$LAMO" serve --snapshot "$WORK/model.lamosnap" --port 0 \
   --watch-deltas "$WORK/watched.txt" --watch-interval-ms 50 \
@@ -274,6 +294,7 @@ wait "$SERVER2" 2> /dev/null || true
 SERVER2=""
 
 # --- Part 5: motif sizes past the old 64-bit pattern key. ----------------
+PART=5
 # cycle_fixture K C P: C disjoint K-cycles (proteins c*K .. c*K+K-1), then a
 # K-vertex open path, every protein annotated with the leaf term T2, and one
 # labeled motif, the K-cycle labeled T2 everywhere, whose occurrences are the

@@ -82,10 +82,10 @@ TEST_P(LaMoFinderProperties, AtLeastHalfVerticesLabeled) {
 TEST_P(LaMoFinderProperties, SchemesConformToOwnOccurrences) {
   const RunResult run = RunPipeline(GetParam());
   for (const LabeledMotif& lm : run.labeled) {
-    for (const MotifOccurrence& occ : lm.occurrences) {
+    for (const std::span<const VertexId> occ : lm.occurrences) {
       for (size_t pos = 0; pos < lm.scheme.size(); ++pos) {
         const auto terms =
-            run.dataset.annotations.TermsOf(occ.proteins[pos]);
+            run.dataset.annotations.TermsOf(occ[pos]);
         EXPECT_TRUE(LabelsConform(run.dataset.ontology, lm.scheme[pos],
                                   LabelSet(terms.begin(), terms.end())));
       }
@@ -117,7 +117,7 @@ TEST_P(LaMoFinderProperties, NoSubsumedDuplicates) {
   }
 }
 
-TEST_P(LaMoFinderProperties, OccurrencesComeFromMotifOccurrenceSets) {
+TEST_P(LaMoFinderProperties, OccurrencesComeFromSourceOccurrenceSets) {
   const RunResult run = RunPipeline(GetParam());
   for (const LabeledMotif& lm : run.labeled) {
     // Locate the source motif by code.
@@ -127,13 +127,13 @@ TEST_P(LaMoFinderProperties, OccurrencesComeFromMotifOccurrenceSets) {
     }
     ASSERT_NE(source, nullptr);
     std::set<std::vector<VertexId>> motif_sets;
-    for (const MotifOccurrence& occ : source->occurrences) {
-      std::vector<VertexId> sorted = occ.proteins;
+    for (const std::span<const VertexId> occ : source->occurrences) {
+      std::vector<VertexId> sorted(occ.begin(), occ.end());
       std::sort(sorted.begin(), sorted.end());
       motif_sets.insert(std::move(sorted));
     }
-    for (const MotifOccurrence& occ : lm.occurrences) {
-      std::vector<VertexId> sorted = occ.proteins;
+    for (const std::span<const VertexId> occ : lm.occurrences) {
+      std::vector<VertexId> sorted(occ.begin(), occ.end());
       std::sort(sorted.begin(), sorted.end());
       EXPECT_TRUE(motif_sets.count(sorted) != 0);
     }

@@ -27,8 +27,9 @@ class LaMoFinderTest : public ::testing::Test {
     Motif motif;
     motif.pattern = example_->motif;
     motif.code = CanonicalCode(example_->motif);
+    motif.occurrences = OccurrenceList(example_->motif.num_vertices());
     for (const auto& occ : example_->occurrences) {
-      motif.occurrences.push_back(MotifOccurrence{occ});
+      motif.occurrences.push_back(occ);
     }
     motif.frequency = motif.occurrences.size();
     motif.uniqueness = 1.0;
@@ -73,10 +74,10 @@ TEST_F(LaMoFinderTest, EmittedSchemesConformToTheirOccurrences) {
   config.sigma = 2;
   config.min_similarity = 0.3;
   for (const auto& lm : finder_->LabelMotif(PaperMotif(), config)) {
-    for (const MotifOccurrence& occ : lm.occurrences) {
+    for (const std::span<const VertexId> occ : lm.occurrences) {
       for (size_t pos = 0; pos < lm.scheme.size(); ++pos) {
         const auto terms =
-            example_->protein_annotations.TermsOf(occ.proteins[pos]);
+            example_->protein_annotations.TermsOf(occ[pos]);
         EXPECT_TRUE(LabelsConform(example_->ontology, lm.scheme[pos],
                                   LabelSet(terms.begin(), terms.end())))
             << "scheme " << lm.SchemeToString(example_->ontology)
@@ -104,7 +105,7 @@ TEST_F(LaMoFinderTest, ConformingOccurrencesHonorsSymmetry) {
   const auto conforming = finder_->ConformingOccurrences(motif, scheme);
   bool found_o1 = false;
   for (const auto& occ : conforming) {
-    if (occ.proteins[1] == example_->protein(4)) found_o1 = true;
+    if (occ[1] == example_->protein(4)) found_o1 = true;
   }
   EXPECT_TRUE(found_o1);
 }

@@ -1,5 +1,7 @@
 #include "core/parallel_labels.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 namespace lamo {
@@ -14,9 +16,8 @@ LabeledMotif MakeLabeled(const std::vector<uint8_t>& code,
   lm.pattern.AddEdge(1, 2);
   lm.code = code;
   lm.scheme.assign(3, {label});
-  for (auto& set : occurrence_sets) {
-    lm.occurrences.push_back(MotifOccurrence{std::move(set)});
-  }
+  lm.occurrences = OccurrenceList(3);
+  for (const auto& set : occurrence_sets) lm.occurrences.push_back(set);
   lm.frequency = lm.occurrences.size();
   return lm;
 }
@@ -65,8 +66,8 @@ TEST(ParallelLabelsTest, SymmetricAlignmentOfOccurrenceSets) {
   ASSERT_EQ(parallel.size(), 1u);
   EXPECT_EQ(parallel[0].frequency, 1u);
   // Output keeps the seed branch's alignment.
-  EXPECT_EQ(parallel[0].occurrences[0].proteins,
-            (std::vector<VertexId>{2, 1, 0}));
+  EXPECT_TRUE(std::ranges::equal(parallel[0].occurrences[0],
+                                 std::vector<VertexId>{2, 1, 0}));
 }
 
 TEST(ParallelLabelsTest, ThreeBranchFusion) {

@@ -26,8 +26,9 @@ class SymmetricOverrideTest : public ::testing::Test {
     Motif motif;
     motif.pattern = example_->motif;  // the 4-cycle
     motif.code = CanonicalCode(example_->motif);
+    motif.occurrences = OccurrenceList(example_->motif.num_vertices());
     for (const auto& occ : example_->occurrences) {
-      motif.occurrences.push_back(MotifOccurrence{occ});
+      motif.occurrences.push_back(occ);
     }
     motif.frequency = motif.occurrences.size();
     motif.uniqueness = 1.0;

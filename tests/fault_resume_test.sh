@@ -85,8 +85,10 @@ router_setup() {
 router_wait_port() {
   ROUTER_PORT=""
   for _ in $(seq 1 200); do
+    # The log may not exist yet (the shell opens it in the forked
+    # child): read that as "no banner yet" and keep polling.
     ROUTER_PORT="$(sed -n \
-      's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$1")"
+      's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$1" 2> /dev/null)" || true
     [ -n "$ROUTER_PORT" ] && return 0
     sleep 0.1
   done

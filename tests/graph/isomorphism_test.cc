@@ -1,5 +1,7 @@
 #include "graph/isomorphism.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -121,6 +123,33 @@ TEST(IsomorphismTest, DisconnectedTargetComponents) {
   ASSERT_TRUE(b.AddEdge(4, 5).ok());
   ASSERT_TRUE(b.AddEdge(3, 5).ok());
   EXPECT_EQ(CountOccurrences(Triangle(), b.Build()), 2u);
+}
+
+// CountOccurrences divides the induced embedding count by |Aut(P)|; the
+// set-based FindOccurrences is its oracle, uncapped and at every cap around
+// the true count, over random patterns (disconnected ones included) and
+// random targets.
+TEST(IsomorphismTest, CountMatchesSetBasedOracle) {
+  Rng rng(41);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Graph target = ErdosRenyi(18, 30 + rng.Uniform(25), rng);
+    const size_t n = 2 + rng.Uniform(4);
+    SmallGraph pattern(n);
+    for (uint32_t v = 1; v < n; ++v) {
+      if (rng.Bernoulli(0.8)) pattern.AddEdge(v - 1, v);
+    }
+    for (size_t e = rng.Uniform(n); e > 0; --e) {
+      const uint32_t a = static_cast<uint32_t>(rng.Uniform(n));
+      const uint32_t b = static_cast<uint32_t>(rng.Uniform(n));
+      if (a != b) pattern.AddEdge(a, b);
+    }
+    const size_t exact = FindOccurrences(pattern, target).size();
+    EXPECT_EQ(CountOccurrences(pattern, target), exact) << "trial " << trial;
+    for (const size_t cap : {size_t{1}, exact, exact + 1, exact / 2 + 1}) {
+      EXPECT_EQ(CountOccurrences(pattern, target, cap), std::min(cap, exact))
+          << "trial " << trial << " cap " << cap;
+    }
+  }
 }
 
 }  // namespace

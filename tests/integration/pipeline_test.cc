@@ -85,10 +85,10 @@ TEST_F(PipelineTest, LabelerProducesSchemes) {
 
 TEST_F(PipelineTest, SchemesConformToTheirOccurrences) {
   for (const LabeledMotif& lm : *labeled_) {
-    for (const MotifOccurrence& occ : lm.occurrences) {
+    for (const std::span<const VertexId> occ : lm.occurrences) {
       for (size_t pos = 0; pos < lm.scheme.size(); ++pos) {
         const auto terms =
-            dataset_->annotations.TermsOf(occ.proteins[pos]);
+            dataset_->annotations.TermsOf(occ[pos]);
         EXPECT_TRUE(LabelsConform(dataset_->ontology, lm.scheme[pos],
                                   LabelSet(terms.begin(), terms.end())));
       }

@@ -1,5 +1,6 @@
 #include "io/motif_io.h"
 
+#include <algorithm>
 #include <fstream>
 
 #include <gtest/gtest.h>
@@ -22,8 +23,9 @@ Motif MakeSquareMotif() {
   m.pattern.AddEdge(2, 3);
   m.pattern.AddEdge(3, 0);
   m.code = CanonicalCode(m.pattern);
-  m.occurrences.push_back(MotifOccurrence{{10, 11, 12, 13}});
-  m.occurrences.push_back(MotifOccurrence{{20, 25, 22, 27}});
+  m.occurrences = OccurrenceList(4);
+  m.occurrences.push_back({10, 11, 12, 13});
+  m.occurrences.push_back({20, 25, 22, 27});
   m.frequency = 2;
   m.uniqueness = 0.97;
   return m;
@@ -42,8 +44,8 @@ TEST(MotifIoTest, RoundTrip) {
   EXPECT_EQ(m.frequency, 2u);
   EXPECT_DOUBLE_EQ(m.uniqueness, 0.97);
   ASSERT_EQ(m.occurrences.size(), 2u);
-  EXPECT_EQ(m.occurrences[1].proteins,
-            (std::vector<VertexId>{20, 25, 22, 27}));
+  EXPECT_TRUE(std::ranges::equal(m.occurrences[1],
+                                 std::vector<VertexId>{20, 25, 22, 27}));
 }
 
 TEST(MotifIoTest, MultipleMotifs) {
@@ -83,8 +85,9 @@ TEST(LabeledMotifIoTest, RoundTripWithOntology) {
   lm.scheme.resize(3);
   lm.scheme[0] = {5, 9};
   lm.scheme[2] = {12};  // position 1 stays "unknown"
-  lm.occurrences.push_back(MotifOccurrence{{1, 2, 3}});
-  lm.occurrences.push_back(MotifOccurrence{{7, 8, 9}});
+  lm.occurrences = OccurrenceList(3);
+  lm.occurrences.push_back({1, 2, 3});
+  lm.occurrences.push_back({7, 8, 9});
   lm.frequency = 2;
   lm.uniqueness = 1.0;
   lm.strength = 0.5;
@@ -100,7 +103,8 @@ TEST(LabeledMotifIoTest, RoundTripWithOntology) {
   EXPECT_EQ(back.frequency, 2u);
   EXPECT_DOUBLE_EQ(back.strength, 0.5);
   ASSERT_EQ(back.occurrences.size(), 2u);
-  EXPECT_EQ(back.occurrences[0].proteins, (std::vector<VertexId>{1, 2, 3}));
+  EXPECT_TRUE(std::ranges::equal(back.occurrences[0],
+                                 std::vector<VertexId>{1, 2, 3}));
 }
 
 TEST(LabeledMotifIoTest, UnknownTermRejected) {

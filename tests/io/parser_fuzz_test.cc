@@ -179,15 +179,17 @@ TEST(ParserFuzzTest, MotifReaderNeverCrashes) {
   triangle.pattern.AddEdge(0, 1);
   triangle.pattern.AddEdge(1, 2);
   triangle.pattern.AddEdge(0, 2);
-  triangle.occurrences.push_back({{0, 1, 2}});
-  triangle.occurrences.push_back({{3, 4, 5}});
+  triangle.occurrences = OccurrenceList(3);
+  triangle.occurrences.push_back({0, 1, 2});
+  triangle.occurrences.push_back({3, 4, 5});
   triangle.frequency = 2;
   triangle.uniqueness = 0.9;
   Motif path3;
   path3.pattern = SmallGraph(3);
   path3.pattern.AddEdge(0, 1);
   path3.pattern.AddEdge(1, 2);
-  path3.occurrences.push_back({{7, 8, 9}});
+  path3.occurrences = OccurrenceList(3);
+  path3.occurrences.push_back({7, 8, 9});
   path3.frequency = 1;
   path3.uniqueness = 0.5;
 

@@ -36,12 +36,11 @@ Motif RandomMotif(Rng& rng) {
     m.code.push_back(static_cast<uint8_t>(rng.Uniform(256)));
   }
   const size_t occs = rng.Uniform(8);
+  m.occurrences = OccurrenceList(n);
   for (size_t i = 0; i < occs; ++i) {
-    MotifOccurrence occ;
-    for (size_t v = 0; v < n; ++v) {
-      occ.proteins.push_back(static_cast<VertexId>(rng.Uniform(10000)));
+    for (VertexId& v : m.occurrences.push_back_uninitialized()) {
+      v = static_cast<VertexId>(rng.Uniform(10000));
     }
-    m.occurrences.push_back(std::move(occ));
   }
   m.frequency = static_cast<size_t>(rng.Uniform(1000));
   m.uniqueness = rng.NextDouble();
@@ -60,10 +59,7 @@ void ExpectSameMotif(const Motif& a, const Motif& b) {
     }
   }
   EXPECT_EQ(a.code, b.code);
-  ASSERT_EQ(a.occurrences.size(), b.occurrences.size());
-  for (size_t i = 0; i < a.occurrences.size(); ++i) {
-    EXPECT_EQ(a.occurrences[i].proteins, b.occurrences[i].proteins);
-  }
+  EXPECT_EQ(a.occurrences, b.occurrences);
   EXPECT_EQ(a.frequency, b.frequency);
   EXPECT_EQ(a.uniqueness, b.uniqueness);
   EXPECT_EQ(a.symmetric_sets_override, b.symmetric_sets_override);
@@ -122,12 +118,11 @@ LabeledMotif RandomLabeledMotif(Rng& rng) {
     }
   }
   const size_t occs = rng.Uniform(6);
+  m.occurrences = OccurrenceList(n);
   for (size_t i = 0; i < occs; ++i) {
-    MotifOccurrence occ;
-    for (size_t v = 0; v < n; ++v) {
-      occ.proteins.push_back(static_cast<VertexId>(rng.Uniform(10000)));
+    for (VertexId& v : m.occurrences.push_back_uninitialized()) {
+      v = static_cast<VertexId>(rng.Uniform(10000));
     }
-    m.occurrences.push_back(std::move(occ));
   }
   m.frequency = m.occurrences.size();
   m.uniqueness = rng.NextDouble();
@@ -148,11 +143,7 @@ TEST(LabeledMotifCodecTest, RoundTripsRandomLabeledMotifs) {
     EXPECT_TRUE(reader.AtEnd());
     EXPECT_EQ(original.code, decoded.code);
     EXPECT_EQ(original.scheme, decoded.scheme);
-    ASSERT_EQ(original.occurrences.size(), decoded.occurrences.size());
-    for (size_t i = 0; i < original.occurrences.size(); ++i) {
-      EXPECT_EQ(original.occurrences[i].proteins,
-                decoded.occurrences[i].proteins);
-    }
+    EXPECT_EQ(original.occurrences, decoded.occurrences);
     EXPECT_EQ(original.frequency, decoded.frequency);
     EXPECT_EQ(original.uniqueness, decoded.uniqueness);
     EXPECT_EQ(original.strength, decoded.strength);

@@ -102,14 +102,14 @@ TEST(DirectedMotifsTest, OccurrencesAlignedToDirectedCanonicalOrder) {
   const auto motifs = FindDirectedNetworkMotifs(dataset.grn, motif_config);
   ASSERT_FALSE(motifs.empty());
   for (const DirectedMotif& m : motifs) {
-    for (const MotifOccurrence& occ : m.as_motif.occurrences) {
+    for (const std::span<const VertexId> occ : m.as_motif.occurrences) {
       // The induced digraph at the aligned positions must match the
       // canonical pattern arc for arc.
       for (uint32_t a = 0; a < 3; ++a) {
         for (uint32_t b = 0; b < 3; ++b) {
           if (a == b) continue;
           EXPECT_EQ(m.pattern.HasArc(a, b),
-                    dataset.grn.HasArc(occ.proteins[a], occ.proteins[b]));
+                    dataset.grn.HasArc(occ[a], occ[b]));
         }
       }
     }

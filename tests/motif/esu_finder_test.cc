@@ -42,11 +42,11 @@ TEST(EsuFinderTest, OccurrencesAreAligned) {
   config.min_frequency = 1;
   config.num_random_networks = 0;
   for (const Motif& m : FindNetworkMotifsEsu(g, config)) {
-    for (const MotifOccurrence& occ : m.occurrences) {
+    for (const std::span<const VertexId> occ : m.occurrences) {
       for (uint32_t a = 0; a < 3; ++a) {
         for (uint32_t b = a + 1; b < 3; ++b) {
           EXPECT_EQ(m.pattern.HasEdge(a, b),
-                    g.HasEdge(occ.proteins[a], occ.proteins[b]));
+                    g.HasEdge(occ[a], occ[b]));
         }
       }
     }

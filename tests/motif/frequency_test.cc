@@ -12,9 +12,8 @@ Motif TriangleMotifWithOccurrences(
   m.pattern.AddEdge(0, 1);
   m.pattern.AddEdge(1, 2);
   m.pattern.AddEdge(0, 2);
-  for (auto& set : occurrence_sets) {
-    m.occurrences.push_back(MotifOccurrence{std::move(set)});
-  }
+  m.occurrences = OccurrenceList(3);
+  for (const auto& set : occurrence_sets) m.occurrences.push_back(set);
   m.frequency = m.occurrences.size();
   return m;
 }
@@ -51,11 +50,13 @@ TEST(FrequencyTest, EdgeDisjointnessUsesMappedPatternEdges) {
   m.pattern = SmallGraph(3);
   m.pattern.AddEdge(0, 1);
   m.pattern.AddEdge(1, 2);
-  m.occurrences.push_back(MotifOccurrence{{0, 1, 2}});
-  m.occurrences.push_back(MotifOccurrence{{3, 1, 2}});
+  m.occurrences = OccurrenceList(3);
+  m.occurrences.push_back({0, 1, 2});
+  m.occurrences.push_back({3, 1, 2});
   EXPECT_EQ(Frequency(m, FrequencyMeasure::kF2EdgeDisjoint), 1u);
   // But (0,1,2) and (2,3,4) share only vertex 2 and no edge.
-  m.occurrences[1] = MotifOccurrence{{2, 3, 4}};
+  m.occurrences.erase(1);
+  m.occurrences.push_back({2, 3, 4});
   EXPECT_EQ(Frequency(m, FrequencyMeasure::kF2EdgeDisjoint), 2u);
   EXPECT_EQ(Frequency(m, FrequencyMeasure::kF3VertexDisjoint), 1u);
 }

@@ -44,7 +44,8 @@ MineRun SetBasedMine(const Graph& g, const MinerConfig& config) {
   edge.AddEdge(0, 1);
   Motif& edges = level[edge.AdjacencyCode()];
   edges.pattern = edge;
-  for (const auto& [a, b] : g.Edges()) edges.occurrences.push_back({{a, b}});
+  edges.occurrences = OccurrenceList(2);
+  for (const auto& [a, b] : g.Edges()) edges.occurrences.push_back({a, b});
   if (edges.occurrences.size() < config.min_frequency) level.clear();
   for (size_t size = 2;; ++size) {
     for (auto& [code, m] : level) {
@@ -56,13 +57,13 @@ MineRun SetBasedMine(const Graph& g, const MinerConfig& config) {
     std::map<std::vector<uint8_t>, Motif> next;
     std::set<std::vector<VertexId>> seen;
     for (const auto& [code, m] : level) {
-      for (const MotifOccurrence& occ : m.occurrences) {
-        for (const VertexId v : occ.proteins) {
+      for (const std::span<const VertexId> occ : m.occurrences) {
+        for (const VertexId v : occ) {
           for (const VertexId w : g.Neighbors(v)) {
-            if (std::count(occ.proteins.begin(), occ.proteins.end(), w)) {
+            if (std::count(occ.begin(), occ.end(), w)) {
               continue;
             }
-            std::vector<VertexId> set = occ.proteins;
+            std::vector<VertexId> set(occ.begin(), occ.end());
             set.push_back(w);
             std::sort(set.begin(), set.end());
             if (!seen.insert(set).second) {
@@ -73,15 +74,18 @@ MineRun SetBasedMine(const Graph& g, const MinerConfig& config) {
             const CanonicalResult canon =
                 Canonicalize(SmallGraph::InducedSubgraph(g, set));
             auto [it, inserted] = next.try_emplace(canon.code);
-            if (inserted) it->second.pattern = canon.graph;
+            if (inserted) {
+              it->second.pattern = canon.graph;
+              it->second.occurrences = OccurrenceList(size + 1);
+            }
             auto& occs = it->second.occurrences;
             if (config.max_occurrences_per_pattern != 0 &&
                 occs.size() >= config.max_occurrences_per_pattern) {
               continue;
             }
-            occs.emplace_back();
-            for (const uint32_t i : canon.canonical_to_original) {
-              occs.back().proteins.push_back(set[i]);
+            const std::span<VertexId> occ = occs.push_back_uninitialized();
+            for (size_t c = 0; c <= size; ++c) {
+              occ[c] = set[canon.canonical_to_original[c]];
             }
           }
         }
@@ -117,11 +121,7 @@ void ExpectSameRun(const MineRun& got, const MineRun& want) {
     EXPECT_EQ(a.code, b.code) << "motif " << i;
     EXPECT_TRUE(a.pattern == b.pattern) << "motif " << i;
     EXPECT_EQ(a.frequency, b.frequency) << "motif " << i;
-    ASSERT_EQ(a.occurrences.size(), b.occurrences.size()) << "motif " << i;
-    for (size_t o = 0; o < a.occurrences.size(); ++o) {
-      ASSERT_EQ(a.occurrences[o].proteins, b.occurrences[o].proteins)
-          << "motif " << i << " occurrence " << o;
-    }
+    ASSERT_EQ(a.occurrences, b.occurrences) << "motif " << i;
   }
 }
 
@@ -245,14 +245,14 @@ TEST(MinerTest, OccurrencesAreAlignedEmbeddings) {
   config.min_frequency = 2;
   FrequentSubgraphMiner miner(g, config);
   for (const Motif& m : miner.Mine()) {
-    for (const MotifOccurrence& occ : m.occurrences) {
-      ASSERT_EQ(occ.proteins.size(), m.size());
+    for (const std::span<const VertexId> occ : m.occurrences) {
+      ASSERT_EQ(occ.size(), m.size());
       // The embedding maps motif edges to graph edges and non-edges to
       // non-edges (vertex-induced occurrence).
       for (uint32_t a = 0; a < m.size(); ++a) {
         for (uint32_t b = a + 1; b < m.size(); ++b) {
           EXPECT_EQ(m.pattern.HasEdge(a, b),
-                    g.HasEdge(occ.proteins[a], occ.proteins[b]));
+                    g.HasEdge(occ[a], occ[b]));
         }
       }
     }
@@ -269,8 +269,8 @@ TEST(MinerTest, OccurrenceSetsDistinct) {
   FrequentSubgraphMiner miner(g, config);
   for (const Motif& m : miner.Mine()) {
     std::set<std::vector<VertexId>> sets;
-    for (const MotifOccurrence& occ : m.occurrences) {
-      std::vector<VertexId> sorted = occ.proteins;
+    for (const std::span<const VertexId> occ : m.occurrences) {
+      std::vector<VertexId> sorted(occ.begin(), occ.end());
       std::sort(sorted.begin(), sorted.end());
       EXPECT_TRUE(sets.insert(sorted).second);
     }

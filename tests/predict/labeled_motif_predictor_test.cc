@@ -54,9 +54,8 @@ struct MotifFixture {
     motif.scheme.resize(2);
     motif.scheme[0] = {leaf1};
     motif.scheme[1] = {leaf2};
-    for (VertexId p = 0; p < 4; ++p) {
-      motif.occurrences.push_back(MotifOccurrence{{p, p + 4}});
-    }
+    motif.occurrences = OccurrenceList(2);
+    for (VertexId p = 0; p < 4; ++p) motif.occurrences.push_back({p, p + 4});
     motif.frequency = 4;
     motif.uniqueness = 1.0;
     motif.strength = 1.0;
@@ -126,7 +125,10 @@ TEST(LabeledMotifPredictorTest, CoverageReporting) {
 
 TEST(LabeledMotifPredictorTest, UncoveredProteinScoresFlat) {
   MotifFixture f;
-  f.motifs[0].occurrences.resize(3);
+  // Keep the first three occurrences: proteins 3 and 7 then sit nowhere.
+  OccurrenceList first3(2);
+  for (size_t i = 0; i < 3; ++i) first3.push_back(f.motifs[0].occurrences[i]);
+  f.motifs[0].occurrences = std::move(first3);
   f.motifs[0].frequency = 3;
   LabeledMotifPredictor predictor(f.context, f.ontology, f.motifs);
   EXPECT_FALSE(predictor.Covers(3));
@@ -144,7 +146,8 @@ TEST(LabeledMotifPredictorTest, StrengthWeighting) {
   weak.scheme.resize(2);
   weak.scheme[0] = {f.leaf2};
   weak.scheme[1] = {f.leaf2};
-  weak.occurrences.push_back(MotifOccurrence{{0, 4}});
+  weak.occurrences = OccurrenceList(2);
+  weak.occurrences.push_back({0, 4});
   weak.frequency = 1;
   weak.uniqueness = 1.0;
   weak.strength = 0.1;

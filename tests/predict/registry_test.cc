@@ -56,9 +56,8 @@ struct RegistryFixture {
     motif.scheme.resize(2);
     motif.scheme[0] = {leaf1};
     motif.scheme[1] = {leaf2};
-    for (VertexId p = 0; p < 4; ++p) {
-      motif.occurrences.push_back(MotifOccurrence{{p, p + 4}});
-    }
+    motif.occurrences = OccurrenceList(2);
+    for (VertexId p = 0; p < 4; ++p) motif.occurrences.push_back({p, p + 4});
     motif.frequency = 4;
     motif.uniqueness = 1.0;
     motif.strength = 1.0;

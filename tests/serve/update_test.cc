@@ -90,8 +90,8 @@ std::string CodeKey(const std::vector<uint8_t>& code) {
 // and order are presentation; the maintained *set* is the contract).
 std::multiset<std::vector<VertexId>> StoredSets(const LabeledMotif& motif) {
   std::multiset<std::vector<VertexId>> sets;
-  for (const MotifOccurrence& occ : motif.occurrences) {
-    std::vector<VertexId> sorted = occ.proteins;
+  for (const std::span<const VertexId> occ : motif.occurrences) {
+    std::vector<VertexId> sorted(occ.begin(), occ.end());
     std::sort(sorted.begin(), sorted.end());
     sets.insert(std::move(sorted));
   }
@@ -117,12 +117,12 @@ std::multiset<std::vector<VertexId>> FullConformingSets(
         if (fresh) slot->second = Canonicalize(sub);
         const CanonicalResult& canon = slot->second;
         if (CodeKey(canon.code) != want) return true;
-        MotifOccurrence occ;
-        occ.proteins.resize(size);
+        OccurrenceList occ(size);
+        const std::span<VertexId> aligned = occ.push_back_uninitialized();
         for (size_t i = 0; i < size; ++i) {
-          occ.proteins[i] = verts[canon.canonical_to_original[i]];
+          aligned[i] = verts[canon.canonical_to_original[i]];
         }
-        const Motif probe{motif.pattern, motif.code, {occ}, 1, -1.0, {}};
+        const Motif probe{motif.pattern, motif.code, occ, 1, -1.0, {}};
         if (!finder.ConformingOccurrences(probe, motif.scheme).empty()) {
           sets.insert(std::move(verts));
         }
@@ -136,9 +136,9 @@ std::multiset<std::vector<VertexId>> FullConformingSets(
 std::vector<std::vector<SnapshotSite>> RebuildSites(const Snapshot& snap) {
   std::vector<std::vector<SnapshotSite>> sites(snap.graph.num_vertices());
   for (uint32_t mi = 0; mi < snap.motifs.size(); ++mi) {
-    for (const MotifOccurrence& occ : snap.motifs[mi].occurrences) {
-      for (uint32_t pos = 0; pos < occ.proteins.size(); ++pos) {
-        auto& row = sites[occ.proteins[pos]];
+    for (const std::span<const VertexId> occ : snap.motifs[mi].occurrences) {
+      for (uint32_t pos = 0; pos < occ.size(); ++pos) {
+        auto& row = sites[occ[pos]];
         const SnapshotSite site{mi, pos};
         if (std::find(row.begin(), row.end(), site) == row.end()) {
           row.push_back(site);
@@ -278,13 +278,12 @@ Snapshot CycleSnapshot(size_t k, size_t cycles) {
   motif.pattern = canon.graph;
   motif.code = canon.code;
   motif.scheme.assign(k, LabelSet{leaf});
+  motif.occurrences = OccurrenceList(k);
   for (size_t c = 0; c < cycles; ++c) {
-    MotifOccurrence occ;
+    const std::span<VertexId> occ = motif.occurrences.push_back_uninitialized();
     for (size_t i = 0; i < k; ++i) {
-      occ.proteins.push_back(
-          static_cast<VertexId>(c * k + canon.canonical_to_original[i]));
+      occ[i] = static_cast<VertexId>(c * k + canon.canonical_to_original[i]);
     }
-    motif.occurrences.push_back(std::move(occ));
   }
   motif.frequency = cycles;
   motif.uniqueness = 1.0;
@@ -472,12 +471,12 @@ TEST(UpdateEngineTest, ScoreEdgeCountsCompletedConformingInstances) {
   VertexId u = 0, v = 0;
   bool found = false;
   for (const LabeledMotif& motif : snap.motifs) {
-    for (const MotifOccurrence& occ : motif.occurrences) {
-      for (size_t i = 0; i < occ.proteins.size() && !found; ++i) {
-        for (size_t j = i + 1; j < occ.proteins.size() && !found; ++j) {
-          if (snap.graph.HasEdge(occ.proteins[i], occ.proteins[j])) {
-            u = occ.proteins[i];
-            v = occ.proteins[j];
+    for (const std::span<const VertexId> occ : motif.occurrences) {
+      for (size_t i = 0; i < occ.size() && !found; ++i) {
+        for (size_t j = i + 1; j < occ.size() && !found; ++j) {
+          if (snap.graph.HasEdge(occ[i], occ[j])) {
+            u = occ[i];
+            v = occ[j];
             found = true;
           }
         }
@@ -614,12 +613,12 @@ TEST(UpdateJournalTest, RejectsChecksumMismatchAndGarbage) {
 // non-edge for PREDICT_EDGE.
 void PickInterestingPair(const Snapshot& snap, VertexId* u, VertexId* v) {
   for (const LabeledMotif& motif : snap.motifs) {
-    for (const MotifOccurrence& occ : motif.occurrences) {
-      for (size_t i = 0; i < occ.proteins.size(); ++i) {
-        for (size_t j = i + 1; j < occ.proteins.size(); ++j) {
-          if (snap.graph.HasEdge(occ.proteins[i], occ.proteins[j])) {
-            *u = occ.proteins[i];
-            *v = occ.proteins[j];
+    for (const std::span<const VertexId> occ : motif.occurrences) {
+      for (size_t i = 0; i < occ.size(); ++i) {
+        for (size_t j = i + 1; j < occ.size(); ++j) {
+          if (snap.graph.HasEdge(occ[i], occ[j])) {
+            *u = occ[i];
+            *v = occ[j];
             return;
           }
         }

@@ -3,14 +3,16 @@
 // every required key is present with the right shape, 1 with a diagnostic
 // otherwise. Extra arguments name counters that must be present *and*
 // nonzero; a `hist:` prefix demands a histogram with a nonzero count
-// instead. Used by the report_schema ctest; handy interactively too:
+// instead, and a `gauge:` prefix a nonzero gauge. Used by the
+// report_schema ctest; handy interactively too:
 //
 //   lamo mine --graph g.txt --report r.json
-//   lamo_report_check r.json esu.subgraphs hist:esu.chunk_us
+//   lamo_report_check r.json esu.subgraphs gauge:process.peak_rss_kb
 //
 // Schema v2 adds the "histograms" object and the trace.dropped counter; v1
 // reports (no histograms) are still accepted with a warning so archived
 // reports keep checking out.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -152,7 +154,8 @@ int Check(const std::string& path, int num_required, char** required) {
       RequireMember(report, "phases", JsonValue::Type::kArray, &rc);
   const JsonValue* counters =
       RequireMember(report, "counters", JsonValue::Type::kObject, &rc);
-  RequireMember(report, "gauges", JsonValue::Type::kObject, &rc);
+  const JsonValue* gauges =
+      RequireMember(report, "gauges", JsonValue::Type::kObject, &rc);
   const JsonValue* histograms =
       v2 ? RequireMember(report, "histograms", JsonValue::Type::kObject, &rc)
          : nullptr;
@@ -167,6 +170,21 @@ int Check(const std::string& path, int num_required, char** required) {
     if (!value.is_number()) {
       return Fail("counter \"" + name + "\" not a number");
     }
+  }
+  for (const auto& [name, value] : gauges->members) {
+    if (!value.is_number()) {
+      return Fail("gauge \"" + name + "\" not a number");
+    }
+  }
+  // The process's own peak RSS (VmHWM, kB): a running process has resident
+  // pages, so a present value must be a positive whole number. Guarded on
+  // presence so reports from builds predating the gauge still check out.
+  if (const JsonValue* rss = gauges->Find("process.peak_rss_kb");
+      rss != nullptr &&
+      (rss->number_value <= 0.0 ||
+       rss->number_value != static_cast<double>(
+                                static_cast<uint64_t>(rss->number_value)))) {
+    return Fail("gauge \"process.peak_rss_kb\" is not a positive kB count");
   }
   if (v2) {
     // Schema v2 ships trace-loss accounting in every report, traced or not.
@@ -364,6 +382,14 @@ int Check(const std::string& path, int num_required, char** required) {
       }
       continue;
     }
+    if (std::strncmp(required[i], "gauge:", 6) == 0) {
+      const char* name = required[i] + 6;
+      const JsonValue* value = gauges->Find(name);
+      if (value == nullptr || value->number_value <= 0.0) {
+        return Fail(std::string("gauge \"") + name + "\" missing or zero");
+      }
+      continue;
+    }
     const JsonValue* value = counters->Find(required[i]);
     if (value == nullptr || !value->is_number() || value->number_value <= 0.0) {
       return Fail(std::string("counter \"") + required[i] +
@@ -381,7 +407,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: lamo_report_check <report.json> "
-                 "[required-nonzero-counter | hist:NAME ...]\n");
+                 "[required-nonzero-counter | hist:NAME | gauge:NAME ...]\n");
     return 2;
   }
   return lamo::Check(argv[1], argc - 2, argv + 2);
