@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/logging.h"
+
 namespace lamo {
 
 bool Graph::HasEdge(VertexId a, VertexId b) const {
@@ -83,6 +85,17 @@ Graph GraphBuilder::Build() const {
               g.neighbors_.begin() + g.offsets_[v + 1]);
   }
   return g;
+}
+
+Graph ToggleEdge(const Graph& g, VertexId a, VertexId b) {
+  LAMO_CHECK(a != b && a < g.num_vertices() && b < g.num_vertices());
+  const std::pair<VertexId, VertexId> edge = std::minmax(a, b);
+  GraphBuilder builder(g.num_vertices());
+  for (const auto& e : g.Edges()) {
+    if (e != edge) (void)builder.AddEdge(e.first, e.second);  // in range
+  }
+  if (!g.HasEdge(a, b)) (void)builder.AddEdge(a, b);
+  return builder.Build();
 }
 
 }  // namespace lamo

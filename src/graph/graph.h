@@ -97,6 +97,11 @@ class GraphBuilder {
   std::vector<std::pair<VertexId, VertexId>> edges_;
 };
 
+/// `g` with the undirected edge {a, b} removed if present and added if
+/// absent, built through GraphBuilder (so the CSR arrays equal a fresh build
+/// of the edited edge list). Requires a != b, both in range.
+Graph ToggleEdge(const Graph& g, VertexId a, VertexId b);
+
 }  // namespace lamo
 
 #endif  // LAMO_GRAPH_GRAPH_H_

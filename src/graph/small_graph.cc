@@ -74,7 +74,8 @@ size_t SmallGraph::Degree(uint32_t v) const {
 std::vector<std::pair<uint32_t, uint32_t>> SmallGraph::Edges() const {
   std::vector<std::pair<uint32_t, uint32_t>> edges;
   for (uint32_t v = 0; v < n_; ++v) {
-    uint64_t higher = rows_[v] >> (v + 1) << (v + 1);
+    // Neighbors above v; 2 << 63 wraps to 0, so vertex 63 keeps none.
+    uint64_t higher = rows_[v] & ~((uint64_t{2} << v) - 1);
     while (higher != 0) {
       uint32_t u = static_cast<uint32_t>(std::countr_zero(higher));
       edges.emplace_back(v, u);

@@ -47,13 +47,14 @@ void EnumeratePairSubgraphs(const GraphIndex& index, VertexId u, VertexId v,
   const auto emit = [&](const VertexId* set, size_t size) {
     PairSubgraph ps;
     ps.verts.assign(set, set + size);
-    ps.bits_with = index.InducedBits(set, size);
-    // Position of the anchor pair within the ascending set.
+    // Position of the anchor pair within the ascending set; its bit is set
+    // whether or not the index holds the edge.
     const size_t pu =
         static_cast<size_t>(std::lower_bound(set, set + size, lo) - set);
     const size_t pv =
         static_cast<size_t>(std::lower_bound(set, set + size, hi) - set);
     const PatternKey anchor = PatternKey{1} << PairBitIndex(pu, pv, k);
+    ps.bits_with = index.InducedBits(set, size) | anchor;
     ps.bits_without = ps.bits_with & ~anchor;
     ps.connected_without = k > 2 && MaskConnected(ps.bits_without, k);
     out->push_back(std::move(ps));

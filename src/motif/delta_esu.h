@@ -23,9 +23,10 @@ namespace lamo {
 /// exclusive-neighborhood invariant (a vertex becomes a candidate exactly
 /// once, when the first subgraph vertex adjacent to it joins) carries over to
 /// any connected seed, so every connected k-superset of {u, v} is emitted
-/// exactly once, with no root-minimality filter. Both bit packings of each
-/// set are returned so one enumeration on the graph *with* the edge serves
-/// additions and deletions alike:
+/// exactly once, with no root-minimality filter. The seed is {u, v} whether
+/// or not the index holds the edge, so one enumeration on the graph *before*
+/// the mutation serves additions, deletions and candidate scoring alike; both
+/// bit packings of each set are returned:
 ///
 ///   ADDEDGE: sets connected without the edge *move* pattern
 ///            (bits_without -> bits_with); newly-connected sets are pure
@@ -47,11 +48,12 @@ struct PairSubgraph {
   bool connected_without = false;
 };
 
-/// Appends to `*out` (cleared first) every connected k-vertex set of `index`
-/// containing both `u` and `v`, in the engine's emission order (seed
-/// candidates N(u) ∪ N(v) ascending, then extension-stack order) — the same
-/// sequence on dense and CSR-only indexes. Checks (LAMO_CHECK) that `index`
-/// contains the edge {u, v} and 2 <= k <= kMaxPatternVertices.
+/// Appends to `*out` (cleared first) every k-vertex set containing both `u`
+/// and `v` that is connected in `index` plus the edge {u, v}, in the engine's
+/// emission order (seed candidates N(u) ∪ N(v) ascending, then
+/// extension-stack order) — the same sequence on dense and CSR-only indexes,
+/// and whether or not `index` holds the edge. Checks (LAMO_CHECK) that u and
+/// v are distinct vertices of `index` and 2 <= k <= kMaxPatternVertices.
 void EnumeratePairSubgraphs(const GraphIndex& index, VertexId u, VertexId v,
                             size_t k, std::vector<PairSubgraph>* out);
 

@@ -45,7 +45,7 @@ struct ExploreAll {
 /// Only vertices >= a lower bound may join: root + 1 for a rooted walk (ESU
 /// roots every set at its minimum vertex, so disjoint root ranges partition
 /// the enumeration), 0 for the pair seed (every connected superset of the
-/// seed edge, no root filter).
+/// seed edge, no root filter; the seed edge need not be in the index).
 ///
 /// Emission order is fixed by the graph alone: roots ascending, candidates
 /// in extension-stack order. The dense and CSR-only paths emit the same
@@ -116,38 +116,47 @@ class Engine {
     return true;
   }
 
-  /// Enumerates every connected size-k set containing both endpoints of the
-  /// edge {u, v}, each exactly once: Wernicke's exclusive-neighborhood
-  /// invariant holds for any connected seed, so no root filter is needed.
-  /// Returns false iff emit aborted.
+  /// Enumerates every connected size-k set of the graph *with* the edge
+  /// {u, v} that contains both endpoints, each exactly once: Wernicke's
+  /// exclusive-neighborhood invariant holds for any connected seed, so no
+  /// root filter is needed. {u, v} is the seed edge whether or not the index
+  /// holds it — only the seed's candidates and forbidden set ever see the
+  /// pair, so an absent edge yields the emission sequence the graph with
+  /// the edge would. Returns false iff emit aborted.
   bool RunPair(VertexId u, VertexId v) {
     LAMO_CHECK_GE(k_, size_t{2}) << "pair-seeded ESU needs k >= 2";
-    LAMO_CHECK(u != v && index_.HasEdge(u, v))
-        << "pair seed {" << u << ", " << v << "} is not an edge";
+    LAMO_CHECK(u != v && u < index_.num_vertices() &&
+               v < index_.num_vertices())
+        << "pair seed {" << u << ", " << v << "} is not a vertex pair";
     subgraph_[0] = u;
     subgraph_[1] = v;
     if (k_ == 2) return EmitSet();
-    // forbidden({u, v}) = N(u) ∪ N(v), which holds u and v themselves; the
-    // seed candidates are that union minus {u, v}, ascending.
+    // The seed candidates are N(u) ∪ N(v) minus {u, v}, ascending;
+    // forbidden({u, v}) is that union plus u and v.
     const auto nu = index_.Neighbors(u);
     const auto nv = index_.Neighbors(v);
     extension_.clear();
     std::set_union(nu.begin(), nu.end(), nv.begin(), nv.end(),
                    std::back_inserter(extension_));
+    extension_.erase(
+        std::remove_if(extension_.begin(), extension_.end(),
+                       [&](VertexId x) { return x == u || x == v; }),
+        extension_.end());
     if (k_ > 3) {
       if (index_.dense()) {
         uint64_t* row = ForbiddenRow(1);
         const uint64_t* adj_u = index_.Row(u);
         const uint64_t* adj_v = index_.Row(v);
         for (size_t w = 0; w < words_; ++w) row[w] = adj_u[w] | adj_v[w];
+        row[u >> 6] |= uint64_t{1} << (u & 63);
+        row[v >> 6] |= uint64_t{1} << (v & 63);
       } else {
-        forbidden_lists_[1].assign(extension_.begin(), extension_.end());
+        const VertexId seed[2] = {std::min(u, v), std::max(u, v)};
+        forbidden_lists_[1].clear();
+        std::set_union(extension_.begin(), extension_.end(), seed, seed + 2,
+                       std::back_inserter(forbidden_lists_[1]));
       }
     }
-    extension_.erase(
-        std::remove_if(extension_.begin(), extension_.end(),
-                       [&](VertexId x) { return x == u || x == v; }),
-        extension_.end());
     return Extend(2, 0, extension_.size(), 0);
   }
 

@@ -72,8 +72,7 @@ const size_t kFaultUpdateApply = FaultPointId("update.apply");
 
 /// True for the verbs that need the snapshot lock exclusively.
 bool NeedsExclusive(RequestType type) {
-  return type == RequestType::kAddEdge || type == RequestType::kDelEdge ||
-         type == RequestType::kPredictEdge;
+  return type == RequestType::kAddEdge || type == RequestType::kDelEdge;
 }
 
 using Clock = std::chrono::steady_clock;
@@ -151,18 +150,29 @@ std::string SnapshotService::Handle(const std::string& line) {
   } else {
     const Request& request = *parsed;
     request_id = request.id;
-    // Queries share the snapshot lock; mutations (and PREDICT_EDGE, which
-    // borrows the update engine's scratch state) take it exclusively. The
-    // cache operations sit inside the lock so a reader can never Put a
-    // response computed against a pre-update snapshot after the update's
-    // invalidation pass ran.
+    // Queries, PREDICT_EDGE among them, share the snapshot lock; only the
+    // mutations take it exclusively. The cache operations sit inside the
+    // lock so a reader can never Put a response computed against a
+    // pre-update snapshot after the update's invalidation pass ran.
     std::shared_lock<std::shared_mutex> read_lock(snapshot_mu_,
                                                   std::defer_lock);
     std::unique_lock<std::shared_mutex> write_lock(snapshot_mu_,
                                                    std::defer_lock);
+    // glibc's shared_mutex prefers readers, so overlapping queries (a stream
+    // of PREDICT_EDGEs, say) could starve a writer forever. A writer holds
+    // writer_gate_ while it waits, and a reader that sees one waiting passes
+    // the gate first, so the readers already in drain and no new one starts.
     if (NeedsExclusive(request.type)) {
-      write_lock.lock();
+      writers_waiting_.fetch_add(1, std::memory_order_acq_rel);
+      {
+        std::lock_guard<std::mutex> gate(writer_gate_);
+        write_lock.lock();
+      }
+      writers_waiting_.fetch_sub(1, std::memory_order_acq_rel);
     } else {
+      if (writers_waiting_.load(std::memory_order_acquire) > 0) {
+        std::lock_guard<std::mutex> gate(writer_gate_);
+      }
       read_lock.lock();
     }
     const bool cacheable = IsCacheable(request.type) && cache_.capacity() > 0;

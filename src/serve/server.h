@@ -67,12 +67,11 @@ class LineService {
 /// the prediction context and the default (labeled-motif) predictor from the
 /// packed artifacts — no text parsing, no weight or closure recomputation;
 /// UsePredictor swaps in any registered backend before serving starts.
-/// Handle() is thread-safe: queries hold the snapshot lock shared (the
-/// snapshot is immutable to them, the cache is internally locked, the stats
-/// are atomics), while the mutation verbs (ADDEDGE / DELEDGE) and
-/// PREDICT_EDGE serialize behind it exclusively — updates patch the
-/// snapshot in place and both paths share the engine's single-threaded
-/// labeling machinery.
+/// Handle() is thread-safe: queries, PREDICT_EDGE included, hold the
+/// snapshot lock shared (the snapshot and the update engine's index are
+/// immutable to them, the cache is internally locked, the stats are
+/// atomics), while the mutation verbs (ADDEDGE / DELEDGE) take it
+/// exclusively, because updates patch the snapshot in place.
 class SnapshotService : public LineService {
  public:
   /// Takes ownership of the snapshot. `cache_capacity` 0 disables response
@@ -131,8 +130,8 @@ class SnapshotService : public LineService {
   /// ADDEDGE / DELEDGE: journal, apply, refresh predictor state, invalidate
   /// affected cache entries. Caller holds snapshot_mu_ exclusively.
   StatusOr<std::vector<std::string>> ApplyEdge(const Request& request);
-  /// PREDICT_EDGE. Caller holds snapshot_mu_ exclusively (the scoring
-  /// shares the engine's scratch overlay and memoizing similarity).
+  /// PREDICT_EDGE. Caller holds snapshot_mu_ shared: scoring is a const
+  /// read of the update engine.
   StatusOr<std::vector<std::string>> PredictEdge(const Request& request);
   /// Drops the cache entries an applied update can have changed.
   size_t InvalidateCache(const UpdateResult& result);
@@ -144,10 +143,15 @@ class SnapshotService : public LineService {
   ResponseCache cache_;
   ServeStats stats_;
   AccessLog* access_log_ = nullptr;
-  /// Readers (queries) shared, writers (ADDEDGE/DELEDGE/PREDICT_EDGE)
+  /// Readers (queries and PREDICT_EDGE) shared, writers (ADDEDGE/DELEDGE)
   /// exclusive. Cache operations happen under the same lock so an update's
   /// invalidation can never interleave with a stale Put.
   std::shared_mutex snapshot_mu_;
+  /// Held by a writer while it waits for snapshot_mu_; readers pass it
+  /// before locking shared whenever writers_waiting_ > 0, so writers cannot
+  /// starve.
+  std::mutex writer_gate_;
+  std::atomic<int> writers_waiting_{0};
   std::unique_ptr<UpdateEngine> engine_;   // guarded by snapshot_mu_
   std::unique_ptr<UpdateJournal> journal_;  // guarded by snapshot_mu_
   const std::chrono::steady_clock::time_point start_ =

@@ -47,21 +47,39 @@ bool SameVertexSet(const std::vector<VertexId>& sorted_verts,
 
 UpdateEngine::UpdateEngine(Snapshot* snapshot)
     : snap_(snapshot),
-      graph_(snapshot->graph),
+      index_(snapshot->graph, /*dense_vertex_limit=*/0),
       finder_(snapshot->ontology, snapshot->weights, snapshot->informative,
               snapshot->annotations) {
   for (uint32_t mi = 0; mi < snap_->motifs.size(); ++mi) {
     const LabeledMotif& m = snap_->motifs[mi];
     motifs_by_code_[m.size()][CodeKey(m.code)].push_back(mi);
   }
+  // Larger motifs make Check refuse every update and score.
+  for (const auto& [k, codes] : motifs_by_code_) {
+    if (k <= kMaxPatternVertices) {
+      caches_.emplace(k, std::make_unique<SharedCanonCache>(k));
+    }
+  }
 }
 
-SharedCanonCache& UpdateEngine::CacheFor(size_t k) {
-  auto it = caches_.find(k);
-  if (it == caches_.end()) {
-    it = caches_.emplace(k, std::make_unique<SharedCanonCache>(k)).first;
+template <typename Fn>
+void UpdateEngine::ForEachConforming(const std::vector<VertexId>& verts,
+                                     PatternKey bits, Fn&& fn) const {
+  const auto by_code = motifs_by_code_.find(verts.size());
+  if (by_code == motifs_by_code_.end()) return;
+  const CanonicalResult& canon = caches_.at(verts.size())->Lookup(bits);
+  const auto mis = by_code->second.find(CodeKey(canon.code));
+  if (mis == by_code->second.end()) return;
+  const OccurrenceList aligned = AlignedOccurrence(verts, canon);
+  for (const uint32_t mi : mis->second) {
+    const LabeledMotif& motif = snap_->motifs[mi];
+    // Conformance is label-only, so the verdict is the one the labeling
+    // stage reached at pack time.
+    const Motif probe{motif.pattern, motif.code, aligned, 1, -1.0, {}};
+    const OccurrenceList conf =
+        finder_.ConformingOccurrences(probe, motif.scheme);
+    if (!conf.empty()) fn(mi, conf);
   }
-  return *it->second;
 }
 
 std::vector<size_t> UpdateEngine::UpdateSizes() const {
@@ -72,7 +90,7 @@ std::vector<size_t> UpdateEngine::UpdateSizes() const {
   }
   std::vector<size_t> out;
   for (const size_t k : sizes) {
-    if (k >= 2 && k <= graph_.num_vertices()) out.push_back(k);
+    if (k >= 2 && k <= index_.num_vertices()) out.push_back(k);
   }
   return out;
 }
@@ -87,7 +105,7 @@ Status UpdateEngine::Check(bool add, VertexId u, VertexId v) const {
         " vertices; this snapshot holds a size-" + std::to_string(largest) +
         " motif");
   }
-  const size_t n = graph_.num_vertices();
+  const size_t n = index_.num_vertices();
   if (u >= n || v >= n) {
     return Status::InvalidArgument(
         "edge endpoint out of range: {" + std::to_string(u) + ", " +
@@ -97,11 +115,11 @@ Status UpdateEngine::Check(bool add, VertexId u, VertexId v) const {
     return Status::InvalidArgument("self-interaction {" + std::to_string(u) +
                                    ", " + std::to_string(u) + "} rejected");
   }
-  if (add && graph_.HasEdge(u, v)) {
+  if (add && index_.HasEdge(u, v)) {
     return Status::AlreadyExists("edge {" + std::to_string(u) + ", " +
                                  std::to_string(v) + "} already present");
   }
-  if (!add && !graph_.HasEdge(u, v)) {
+  if (!add && !index_.HasEdge(u, v)) {
     return Status::NotFound("edge {" + std::to_string(u) + ", " +
                             std::to_string(v) + "} does not exist");
   }
@@ -117,23 +135,17 @@ Status UpdateEngine::Apply(bool add, VertexId u, VertexId v,
   result->u = u;
   result->v = v;
 
-  // Enumerate on the graph WITH the edge: for additions insert it first,
-  // for deletions keep it until after the enumeration. One pass classifies
-  // both directions — every delta set's pattern with the edge (bits_with)
-  // and without it (bits_without, valid when still connected).
-  if (add) {
-    Status st = graph_.AddEdge(u, v);
-    if (!st.ok()) return st;
-  }
-
+  // Enumerate on the pre-mutation index, seeded with {u, v} as an edge
+  // either way. One pass classifies both directions — every delta set's
+  // pattern with the edge (bits_with) and without it (bits_without, valid
+  // when still connected).
   const bool track_gds = !snap_->gds_signatures.empty();
   std::set<VertexId> affected = {u, v};
   std::map<uint32_t, int64_t> freq_delta;
 
   for (const size_t k : UpdateSizes()) {
-    const GraphIndex& index = graph_.index();
     std::vector<PairSubgraph> subs;
-    EnumeratePairSubgraphs(index, u, v, k, &subs);
+    EnumeratePairSubgraphs(index_, u, v, k, &subs);
     result->resubgraphs += subs.size();
     ObsAdd(kObsEsuSubgraphs, subs.size());
 
@@ -161,82 +173,50 @@ Status UpdateEngine::Apply(bool add, VertexId u, VertexId v,
       }
     }
 
-    const auto by_code = motifs_by_code_.find(k);
-    if (by_code == motifs_by_code_.end()) continue;
-    SharedCanonCache& cache = CacheFor(k);
-
     for (const PairSubgraph& ps : subs) {
       // Pattern transition of this vertex set. The edge changes the edge
-      // count, so before != after always; "none" marks a disconnected side.
-      const CanonicalResult& canon_with = cache.Lookup(ps.bits_with);
-      const CanonicalResult* canon_without =
-          ps.connected_without ? &cache.Lookup(ps.bits_without) : nullptr;
-      const CanonicalResult* before = add ? canon_without : &canon_with;
-      const CanonicalResult* after = add ? &canon_with : canon_without;
-
-      if (before != nullptr) {
-        const auto mis = by_code->second.find(CodeKey(before->code));
-        if (mis != by_code->second.end()) {
-          const OccurrenceList aligned = AlignedOccurrence(ps.verts, *before);
-          for (const uint32_t mi : mis->second) {
-            LabeledMotif& motif = snap_->motifs[mi];
-            // Conformance is label-only, so the verdict is the one the
-            // labeling stage reached at pack time: conforming implies the
-            // occurrence counts in the (global) frequency.
-            const Motif probe{motif.pattern, motif.code, aligned, 1, -1.0, {}};
-            if (finder_.ConformingOccurrences(probe, motif.scheme).empty()) {
-              continue;
-            }
-            --freq_delta[mi];
-            // The stored list holds it only if this shard owns a member.
-            for (size_t i = 0; i < motif.occurrences.size(); ++i) {
-              if (SameVertexSet(ps.verts, motif.occurrences[i])) {
-                for (const VertexId p : motif.occurrences[i]) {
-                  affected.insert(p);
-                }
-                motif.occurrences.erase(i);
-                ++result->occ_removed;
-                break;
-              }
-            }
-          }
-        }
-      }
-      if (after != nullptr) {
-        const auto mis = by_code->second.find(CodeKey(after->code));
-        if (mis != by_code->second.end()) {
-          const OccurrenceList aligned = AlignedOccurrence(ps.verts, *after);
-          bool owned = snap_->num_shards == 1;
-          for (const VertexId p : ps.verts) {
-            owned = owned || snap_->OwnsProtein(p);
-          }
-          for (const uint32_t mi : mis->second) {
-            LabeledMotif& motif = snap_->motifs[mi];
-            const Motif probe{motif.pattern, motif.code, aligned, 1, -1.0, {}};
-            const OccurrenceList conf =
-                finder_.ConformingOccurrences(probe, motif.scheme);
-            if (conf.empty()) continue;
-            ++freq_delta[mi];
-            if (owned) {
-              // conf[0] carries the scheme alignment LabelAll would
-              // have stored — the repack byte-identity depends on it.
-              motif.occurrences.push_back(conf[0]);
-              for (const VertexId p : conf[0]) {
+      // count, so before != after always; a disconnected side has no
+      // pattern. A conforming occurrence counts in the (global) frequency.
+      if (!add || ps.connected_without) {
+        ForEachConforming(ps.verts, add ? ps.bits_without : ps.bits_with,
+                          [&](uint32_t mi, const OccurrenceList&) {
+          --freq_delta[mi];
+          // The stored list holds it only if this shard owns a member.
+          LabeledMotif& motif = snap_->motifs[mi];
+          for (size_t i = 0; i < motif.occurrences.size(); ++i) {
+            if (SameVertexSet(ps.verts, motif.occurrences[i])) {
+              for (const VertexId p : motif.occurrences[i]) {
                 affected.insert(p);
               }
-              ++result->occ_added;
+              motif.occurrences.erase(i);
+              ++result->occ_removed;
+              break;
             }
           }
+        });
+      }
+      if (add || ps.connected_without) {
+        bool owned = snap_->num_shards == 1;
+        for (const VertexId p : ps.verts) {
+          owned = owned || snap_->OwnsProtein(p);
         }
+        ForEachConforming(ps.verts, add ? ps.bits_with : ps.bits_without,
+                          [&](uint32_t mi, const OccurrenceList& conf) {
+          ++freq_delta[mi];
+          if (!owned) return;
+          // conf[0] carries the scheme alignment LabelAll would have
+          // stored — the repack byte-identity depends on it.
+          snap_->motifs[mi].occurrences.push_back(conf[0]);
+          for (const VertexId p : conf[0]) affected.insert(p);
+          ++result->occ_added;
+        });
       }
     }
   }
 
-  if (!add) {
-    Status st = graph_.RemoveEdge(u, v);
-    if (!st.ok()) return st;
-  }
-  snap_->graph = graph_.graph();
+  // Change the graph once: toggle {u, v} and re-index.
+  snap_->graph = ToggleEdge(snap_->graph, u, v);
+  index_ = GraphIndex(snap_->graph, /*dense_vertex_limit=*/0);
 
   // Frequencies moved; recompute every LMS strength (normalization is per
   // size class, so one frequency change can shift a whole class). Any motif
@@ -313,41 +293,29 @@ Status UpdateEngine::Apply(bool add, VertexId u, VertexId v,
   return Status::OK();
 }
 
-Status UpdateEngine::ScoreEdge(VertexId u, VertexId v, EdgeScore* out) {
+Status UpdateEngine::ScoreEdge(VertexId u, VertexId v,
+                               EdgeScore* out) const {
   Status check = Check(/*add=*/true, u, v);
   if (!check.ok()) return check;
   *out = EdgeScore{};
 
-  // Score on a scratch overlay: insert the candidate edge, count the
-  // conforming motif instances it completes, take it back out. The edge
-  // changes every delta set's edge count, so each conforming with-edge
-  // instance is genuinely new — completed by this candidate.
-  Status st = graph_.AddEdge(u, v);
-  if (!st.ok()) return st;
+  // The pair seed takes the absent candidate as its seed edge, so every
+  // set is classified with the candidate in place. The edge changes each
+  // delta set's edge count, so each conforming with-edge instance is
+  // genuinely new — completed by this candidate.
   std::map<uint32_t, size_t> completions;
   for (const auto& [k, by_code] : motifs_by_code_) {
-    if (k < 2 || k > graph_.num_vertices()) continue;
-    const GraphIndex& index = graph_.index();
+    if (k < 2 || k > index_.num_vertices()) continue;
     std::vector<PairSubgraph> subs;
-    EnumeratePairSubgraphs(index, u, v, k, &subs);
+    EnumeratePairSubgraphs(index_, u, v, k, &subs);
     ObsAdd(kObsEsuSubgraphs, subs.size());
-    SharedCanonCache& cache = CacheFor(k);
     for (const PairSubgraph& ps : subs) {
-      const CanonicalResult& canon = cache.Lookup(ps.bits_with);
-      const auto mis = by_code.find(CodeKey(canon.code));
-      if (mis == by_code.end()) continue;
-      const OccurrenceList aligned = AlignedOccurrence(ps.verts, canon);
-      for (const uint32_t mi : mis->second) {
-        const LabeledMotif& motif = snap_->motifs[mi];
-        const Motif probe{motif.pattern, motif.code, aligned, 1, -1.0, {}};
-        if (!finder_.ConformingOccurrences(probe, motif.scheme).empty()) {
-          ++completions[mi];
-        }
-      }
+      ForEachConforming(ps.verts, ps.bits_with,
+                        [&](uint32_t mi, const OccurrenceList&) {
+                          ++completions[mi];
+                        });
     }
   }
-  st = graph_.RemoveEdge(u, v);
-  if (!st.ok()) return st;
 
   for (const auto& [mi, count] : completions) {
     out->completions += count;

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/lamofinder.h"
-#include "graph/mutable_index.h"
+#include "graph/graph_index.h"
 #include "motif/canon_cache.h"
 #include "serve/snapshot.h"
 #include "util/status.h"
@@ -81,9 +81,12 @@ struct EdgeScore {
 /// from a freshly repacked snapshot — the serving stack's core contract,
 /// extended to updates.
 ///
-/// Not thread-safe: the service serializes Apply/ScoreEdge behind its
-/// snapshot lock (LaMoFinder's memoizing term similarity is not safe for
-/// concurrent use either).
+/// Enumeration always runs on the engine's one GraphIndex of the current
+/// graph: the pair seed treats {u, v} as an edge whether or not the index
+/// holds it. Check and ScoreEdge are const and thread-safe against each
+/// other (SharedCanonCache lookups and LaMoFinder conformance checks are);
+/// Apply rewrites the snapshot and the index, so callers must keep every
+/// other call out while it runs.
 class UpdateEngine {
  public:
   /// `snapshot` must outlive the engine and not be modified externally
@@ -103,18 +106,29 @@ class UpdateEngine {
   Status Apply(bool add, VertexId u, VertexId v, UpdateResult* result);
 
   /// Scores the candidate interaction {u, v} by motif completion. The edge
-  /// must be absent and pass Check; the snapshot is unchanged (the edge is
-  /// added to a scratch overlay and removed again).
-  Status ScoreEdge(VertexId u, VertexId v, EdgeScore* out);
+  /// must be absent and pass Check. A plain read: it enumerates the
+  /// candidate's pair seed on the current index and changes nothing.
+  Status ScoreEdge(VertexId u, VertexId v, EdgeScore* out) const;
 
  private:
-  SharedCanonCache& CacheFor(size_t k);
   /// Motif sizes plus the graphlet sizes 2..5 when GDS is maintained.
   std::vector<size_t> UpdateSizes() const;
+  /// Calls fn(motif index, conforming) for every labeled motif that the
+  /// ascending vertex set `verts`, inducing the pattern `bits`, conforms
+  /// to; `conforming` is the one occurrence re-aligned to the motif's
+  /// labeling scheme.
+  template <typename Fn>
+  void ForEachConforming(const std::vector<VertexId>& verts, PatternKey bits,
+                         Fn&& fn) const;
 
   Snapshot* snap_;
-  MutableGraphIndex graph_;
+  /// CSR-only index of snap_->graph. A dense one would keep n²/8 bytes
+  /// resident (2 MB at 4141 proteins) and refill them on every update, for
+  /// walks that only touch the pair's neighborhood.
+  GraphIndex index_;
   LaMoFinder finder_;
+  /// size -> canonicalization cache, for every motif size up to
+  /// kMaxPatternVertices.
   std::map<size_t, std::unique_ptr<SharedCanonCache>> caches_;
   /// size -> canonical code -> indices of labeled motifs with that pattern
   /// (several labeling schemes can share one pattern).

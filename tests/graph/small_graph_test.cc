@@ -1,5 +1,8 @@
 #include "graph/small_graph.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace lamo {
@@ -134,6 +137,16 @@ TEST(SmallGraphTest, MaxVerticesBoundary) {
   g.AddEdge(0, 63);
   EXPECT_TRUE(g.HasEdge(63, 0));
   EXPECT_EQ(g.Degree(63), 1u);
+}
+
+TEST(SmallGraphTest, EdgesAtMaxVerticesListEachEdgeOnce) {
+  // Vertex 63 has no higher neighbor; its row must contribute no edge.
+  SmallGraph g(64);
+  g.AddEdge(0, 63);
+  g.AddEdge(62, 63);
+  const std::vector<std::pair<uint32_t, uint32_t>> expected = {{0, 63},
+                                                               {62, 63}};
+  EXPECT_EQ(g.Edges(), expected);
 }
 
 }  // namespace

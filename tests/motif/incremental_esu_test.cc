@@ -19,8 +19,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "graph/graph.h"
 #include "graph/graph_index.h"
-#include "graph/mutable_index.h"
 #include "graph/small_graph.h"
 #include "motif/canon_cache.h"
 #include "motif/delta_esu.h"
@@ -212,6 +212,41 @@ TEST(EnumeratePairSubgraphsTest, DenseAndSparseEmitTheSameSequence) {
   }
 }
 
+TEST(EnumeratePairSubgraphsTest, AbsentPairSeedsLikeThePresentEdge) {
+  // The pair seed needs no stored edge: for a non-adjacent pair {u, v},
+  // enumerating on G must give element-for-element the sequence (sets,
+  // packings, connectivity, order) the same call gives on G + {u, v} —
+  // what lets updates and PREDICT_EDGE enumerate on the unmodified index.
+  Rng rng(505);
+  size_t compared = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const size_t n = 12 + rng.Uniform(5);  // 12..16
+    Rng graph_rng(rng.Next64());
+    const Graph g = ErdosRenyi(n, n + rng.Uniform(n), graph_rng);
+    VertexId u = static_cast<VertexId>(rng.Uniform(n));
+    VertexId v = static_cast<VertexId>(rng.Uniform(n));
+    if (u == v || g.HasEdge(u, v)) continue;
+    const Graph with = ToggleEdge(g, u, v);
+    ASSERT_TRUE(with.HasEdge(u, v));
+    for (const size_t dense_limit :
+         {GraphIndex::kDenseVertexLimit, size_t{0}}) {
+      const GraphIndex index(g, dense_limit);
+      const GraphIndex index_with(with, dense_limit);
+      for (const size_t k : {2, 3, 4, 5, 6, 12}) {
+        SCOPED_TRACE(testing::Message()
+                     << "trial " << trial << " n=" << n << " pair {" << u
+                     << "," << v << "} k=" << k
+                     << " dense_limit=" << dense_limit);
+        const PairSequence expected = PairRun(index_with, u, v, k);
+        EXPECT_EQ(PairRun(index, u, v, k), expected);
+        EXPECT_EQ(PairRun(index, v, u, k), expected);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GE(compared, 100u);
+}
+
 TEST(EnumeratePairSubgraphsTest, ClosedFormCounts) {
   // Clique K_n, edge {0, 1}: every k-set containing both endpoints is
   // connected, so the count is C(n-2, k-2), and every set stays connected
@@ -319,12 +354,13 @@ void EraseOne(Store* store, const std::string& key,
 }
 
 // Patches one store for one edge mutation using only the pair-anchored
-// delta sets — the operation under test. The graph must already contain
-// the edge (for deletions: call before removing it).
-void PatchStore(MutableGraphIndex* graph, Store* store, bool add, VertexId u,
+// delta sets — the operation under test. `index` is the graph before the
+// mutation, as in UpdateEngine::Apply: the pair seed treats {u, v} as an
+// edge either way.
+void PatchStore(const GraphIndex& index, Store* store, bool add, VertexId u,
                 VertexId v, size_t k, SharedCanonCache* cache) {
   std::vector<PairSubgraph> subs;
-  EnumeratePairSubgraphs(graph->index(), u, v, k, &subs);
+  EnumeratePairSubgraphs(index, u, v, k, &subs);
   for (const PairSubgraph& ps : subs) {
     if (add) {
       if (ps.connected_without) {
@@ -372,9 +408,10 @@ TEST(IncrementalEsuDifferentialTest, MatchesFullRemineOver120Sequences) {
          {GraphIndex::kDenseVertexLimit, size_t{0}}) {
       ++sequences;
       Rng mut_rng(mutation_seed);  // same sequence on both index layouts
-      MutableGraphIndex graph(g0, dense_limit);
-      Store store3 = FullMine(graph.index(), 3, &cache3);
-      Store store4 = FullMine(graph.index(), 4, &cache4);
+      Graph graph = g0;
+      GraphIndex index(graph, dense_limit);
+      Store store3 = FullMine(index, 3, &cache3);
+      Store store4 = FullMine(index, 4, &cache4);
       for (int step = 0; step < 12; ++step) {
         // A random endpoint pair; toggle its edge.
         VertexId u = static_cast<VertexId>(mut_rng.Uniform(n));
@@ -385,16 +422,12 @@ TEST(IncrementalEsuDifferentialTest, MatchesFullRemineOver120Sequences) {
                      << "trial " << trial << " dense_limit=" << dense_limit
                      << " step " << step << (add ? " ADD {" : " DEL {") << u
                      << "," << v << "} n=" << n);
-        if (add) {
-          ASSERT_TRUE(graph.AddEdge(u, v).ok());
-        }
-        PatchStore(&graph, &store3, add, u, v, 3, &cache3);
-        PatchStore(&graph, &store4, add, u, v, 4, &cache4);
-        if (!add) {
-          ASSERT_TRUE(graph.RemoveEdge(u, v).ok());
-        }
-        ASSERT_EQ(store3, FullMine(graph.index(), 3, &cache3));
-        ASSERT_EQ(store4, FullMine(graph.index(), 4, &cache4));
+        PatchStore(index, &store3, add, u, v, 3, &cache3);
+        PatchStore(index, &store4, add, u, v, 4, &cache4);
+        graph = ToggleEdge(graph, u, v);
+        index = GraphIndex(graph, dense_limit);
+        ASSERT_EQ(store3, FullMine(index, 3, &cache3));
+        ASSERT_EQ(store4, FullMine(index, 4, &cache4));
       }
     }
   }

@@ -723,24 +723,59 @@ TEST(ServiceUpdateTest, JournalReplayReproducesLiveState) {
 }
 
 TEST(ServiceUpdateTest, ConcurrentQueriesAndUpdatesAreSerialized) {
-  // TSan-visible hammer: readers race PREDICT/MOTIFS against a writer
-  // toggling an edge and scoring candidates. The service serializes
-  // mutations behind the snapshot lock; every response must still be a
-  // well-formed OK/ERR (and under TSan, data-race free).
+  // TSan-visible hammer: readers race PREDICT/MOTIFS and PREDICT_EDGE
+  // (under the shared lock) against a writer toggling an edge and scoring
+  // candidates. The service serializes mutations behind the snapshot lock;
+  // every response must still be a well-formed OK/ERR (and under TSan, data-
+  // race free), and every reader's PREDICT_EDGE must be byte-for-byte the
+  // answer for the toggled edge present or absent, never a mix.
   VertexId u = 0, v = 0;
   PickInterestingPair(SmallSnapshot(), &u, &v);
-  SnapshotService service{Snapshot(SmallSnapshot())};
   const size_t n = SmallSnapshot().graph.num_vertices();
+  // A fixed absent candidate {u, b} whose score depends on {u, v}.
+  std::string edge_query, edge_present, edge_absent;
+  {
+    SnapshotService present{Snapshot(SmallSnapshot())};
+    SnapshotService absent{Snapshot(SmallSnapshot())};
+    ASSERT_EQ(absent.Handle("DELEDGE " + std::to_string(u) + " " +
+                            std::to_string(v))
+                  .rfind("OK", 0),
+              0u);
+    for (VertexId b = 0; b < n && edge_present == edge_absent; ++b) {
+      if (b == u || b == v || SmallSnapshot().graph.HasEdge(u, b)) continue;
+      edge_query =
+          "PREDICT_EDGE " + std::to_string(u) + " " + std::to_string(b);
+      edge_present = present.Handle(edge_query);
+      edge_absent = absent.Handle(edge_query);
+    }
+    ASSERT_NE(edge_present, edge_absent) << "no candidate depends on the edge";
+    ASSERT_EQ(edge_present.rfind("OK", 0), 0u);
+    ASSERT_EQ(edge_absent.rfind("OK", 0), 0u);
+  }
+  SnapshotService service{Snapshot(SmallSnapshot())};
   std::atomic<bool> stop{false};
   std::atomic<size_t> malformed{0};
+  std::atomic<size_t> torn_scores{0};
+  std::atomic<size_t> scores{0};
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&service, &stop, &malformed, n, t] {
+    readers.emplace_back([&, t] {
       Rng rng(1000 + t);
-      while (!stop.load(std::memory_order_acquire)) {
+      // The first request is always a score, so every reader sends one.
+      for (bool first = true; first || !stop.load(std::memory_order_acquire);
+           first = false) {
+        const uint64_t pick = first ? 2 : rng.Uniform(3);
+        if (pick == 2) {
+          const std::string response = service.Handle(edge_query);
+          scores.fetch_add(1);
+          if (response != edge_present && response != edge_absent) {
+            torn_scores.fetch_add(1);
+          }
+          continue;
+        }
         const VertexId p = static_cast<VertexId>(rng.Uniform(n));
-        const std::string verb = rng.Uniform(2) ? "PREDICT " : "MOTIFS ";
+        const std::string verb = pick == 1 ? "PREDICT " : "MOTIFS ";
         const std::string response =
             service.Handle(verb + std::to_string(p));
         if (response.rfind("OK", 0) != 0 && response.rfind("ERR", 0) != 0) {
@@ -766,6 +801,8 @@ TEST(ServiceUpdateTest, ConcurrentQueriesAndUpdatesAreSerialized) {
   stop.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(malformed.load(), 0u);
+  EXPECT_EQ(torn_scores.load(), 0u);
+  EXPECT_GT(scores.load(), 0u);
   EXPECT_EQ(service.stats().updates.load(), 20u);
 }
 
