@@ -221,12 +221,17 @@ LAMO_THREADS=4 ./build-tsan/tests/predict_tests
 # lists through ReadEdgeList -> index build -> Validate) where ASan turns
 # silent overreads into hard failures; predict_tests runs the GDS
 # brute-force differential, where the orbit lookup tables and the ESU
-# extension buffers are the overread-prone hot path.
-echo "== asan smoke (motif + graph + obs + serve + router + predict" \
-  "+ fuzz) =="
+# extension buffers are the overread-prone hot path. util_tests drives the
+# shared binary reader (util/bytes.h) through truncations and huge counts
+# and the checkpoint corruption matrix; core_tests covers lamo_core, home of
+# the labeled-motif codec (its round trips run in motif_tests).
+echo "== asan smoke (util + core + motif + graph + obs + serve + router" \
+  "+ predict + fuzz) =="
 cmake -B build-asan -G Ninja -DLAMO_SANITIZE=address
-cmake --build build-asan --target motif_tests graph_tests obs_tests \
-  serve_tests io_tests router_tests predict_tests
+cmake --build build-asan --target util_tests core_tests motif_tests \
+  graph_tests obs_tests serve_tests io_tests router_tests predict_tests
+LAMO_THREADS=4 ./build-asan/tests/util_tests
+LAMO_THREADS=4 ./build-asan/tests/core_tests
 LAMO_THREADS=4 ./build-asan/tests/motif_tests
 LAMO_THREADS=4 ./build-asan/tests/graph_tests
 LAMO_THREADS=4 ./build-asan/tests/obs_tests

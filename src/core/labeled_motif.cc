@@ -30,13 +30,9 @@ void ComputeMotifStrengths(std::vector<LabeledMotif>* motifs) {
 
 void EncodeLabeledMotif(const LabeledMotif& m, ByteWriter* w) {
   EncodeSmallGraph(m.pattern, w);
-  w->PutU64(m.code.size());
-  for (const uint8_t b : m.code) w->PutU8(b);
+  w->PutU8Vec(m.code);
   w->PutU64(m.scheme.size());
-  for (const LabelSet& set : m.scheme) {
-    w->PutU64(set.size());
-    for (const TermId t : set) w->PutU32(t);
-  }
+  for (const LabelSet& set : m.scheme) w->PutU32Vec(set);
   EncodeOccurrences(m.occurrences, w);
   w->PutU64(m.frequency);
   w->PutDouble(m.uniqueness);
@@ -44,37 +40,19 @@ void EncodeLabeledMotif(const LabeledMotif& m, ByteWriter* w) {
 }
 
 Status DecodeLabeledMotif(ByteReader* r, LabeledMotif* m) {
-  LAMO_RETURN_IF_ERROR(DecodeSmallGraph(r, &m->pattern));
-  uint64_t code_size = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU64(&code_size));
-  if (code_size > r->remaining()) {
-    return Status::Corruption("labeled motif code length out of range");
-  }
-  m->code.assign(static_cast<size_t>(code_size), 0);
-  for (uint8_t& b : m->code) LAMO_RETURN_IF_ERROR(r->GetU8(&b));
-  uint64_t scheme_size = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU64(&scheme_size));
+  DecodeSmallGraph(r, &m->pattern);
+  m->code = r->GetU8Vec("labeled motif code");
+  const uint64_t scheme_size = r->GetU64();
   if (scheme_size > SmallGraph::kMaxVertices) {
-    return Status::Corruption("labeled motif scheme size out of range");
+    r->Fail("labeled motif scheme size out of range");
   }
-  m->scheme.assign(static_cast<size_t>(scheme_size), {});
-  for (LabelSet& set : m->scheme) {
-    uint64_t set_size = 0;
-    LAMO_RETURN_IF_ERROR(r->GetU64(&set_size));
-    if (set_size > r->remaining()) {
-      return Status::Corruption("labeled motif label-set size out of range");
-    }
-    set.assign(static_cast<size_t>(set_size), 0);
-    for (TermId& t : set) LAMO_RETURN_IF_ERROR(r->GetU32(&t));
-  }
-  LAMO_RETURN_IF_ERROR(
-      DecodeOccurrences(r, m->pattern.num_vertices(), &m->occurrences));
-  uint64_t frequency = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU64(&frequency));
-  m->frequency = static_cast<size_t>(frequency);
-  LAMO_RETURN_IF_ERROR(r->GetDouble(&m->uniqueness));
-  LAMO_RETURN_IF_ERROR(r->GetDouble(&m->strength));
-  return Status::OK();
+  m->scheme.assign(r->ok() ? scheme_size : 0, {});
+  for (LabelSet& set : m->scheme) set = r->GetU32Vec("labeled motif label set");
+  DecodeOccurrences(r, m->pattern.num_vertices(), &m->occurrences);
+  m->frequency = static_cast<size_t>(r->GetU64());
+  m->uniqueness = r->GetDouble();
+  m->strength = r->GetDouble();
+  return r->status();
 }
 
 }  // namespace lamo

@@ -386,8 +386,7 @@ uint64_t LabelFingerprint(const std::vector<Motif>& motifs,
   // valid for this exact motif list.
   w.PutU64(motifs.size());
   for (const Motif& m : motifs) {
-    w.PutString(std::string_view(reinterpret_cast<const char*>(m.code.data()),
-                                 m.code.size()));
+    w.PutU8Vec(m.code);
     w.PutU64(m.frequency);
     w.PutU64(m.occurrences.size());
     w.PutDouble(m.uniqueness);
@@ -407,19 +406,14 @@ std::string EncodeLabelState(size_t next_motif,
 Status DecodeLabelState(std::string_view payload, size_t* next_motif,
                         std::vector<LabeledMotif>* labeled) {
   ByteReader r(payload);
-  uint64_t next = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&next));
-  *next_motif = static_cast<size_t>(next);
-  uint64_t count = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&count));
+  *next_motif = static_cast<size_t>(r.GetU64());
+  const uint64_t count = r.GetU64();
   labeled->clear();
-  for (uint64_t i = 0; i < count; ++i) {
-    LabeledMotif lm;
-    LAMO_RETURN_IF_ERROR(DecodeLabeledMotif(&r, &lm));
-    labeled->push_back(std::move(lm));
+  for (uint64_t i = 0; i < count && r.ok(); ++i) {
+    DecodeLabeledMotif(&r, &labeled->emplace_back());
   }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in label state");
-  return Status::OK();
+  if (r.ok() && !r.AtEnd()) r.Fail("trailing bytes in label state");
+  return r.status();
 }
 
 }  // namespace

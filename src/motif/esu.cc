@@ -1,7 +1,6 @@
 #include "motif/esu.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_map>
 
 #include "motif/esu_engine.h"
@@ -18,46 +17,10 @@ const size_t kObsSubgraphs = ObsCounterId("esu.subgraphs");
 /// Chunk-local pattern memo outcomes (the L1 in front of SharedCanonCache).
 const size_t kObsCanonHits = ObsCounterId("esu.canon_cache_hits");
 const size_t kObsCanonMisses = ObsCounterId("esu.canon_cache_misses");
-/// Root-range chunks processed and their summed wall time: per-chunk cost
-/// distribution for the sharded enumeration.
-const size_t kObsChunks = ObsCounterId("esu.chunks");
-const size_t kObsChunkWallUs = ObsCounterId("esu.chunk_wall_us");
-/// Per-chunk latency histogram + trace span: hub-rooted chunks dominate the
-/// tail, and this is where that skew becomes visible.
+/// Per-chunk latency histogram + trace span (args = root range): hub-rooted
+/// chunks dominate the tail, and this is where that skew becomes visible.
 const size_t kHistChunkUs = ObsHistogramId("esu.chunk_us");
 const size_t kSpanChunk = ObsSpanId("esu.chunk");
-
-/// Wall-clock accounting for one enumeration chunk: counters + latency
-/// histogram when a sink is installed, a trace span (args = root range) when
-/// a tracer is installed. One relaxed mask load when both are off.
-class ScopedChunkClock {
- public:
-  ScopedChunkClock(size_t lo, size_t hi)
-      : mask_(ObsActiveMask()), lo_(lo), hi_(hi) {
-    if (mask_ != 0) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedChunkClock() {
-    if (mask_ == 0) return;
-    const auto end = std::chrono::steady_clock::now();
-    const uint64_t us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
-            .count());
-    if (mask_ & kObsSinkBit) {
-      ObsIncrement(kObsChunks);
-      ObsAdd(kObsChunkWallUs, us);
-      ObsObserve(kHistChunkUs, us);
-    }
-    if (mask_ & kObsTraceBit) {
-      TraceRecordSpan(kSpanChunk, start_, end, lo_, hi_, 2);
-    }
-  }
-
- private:
-  uint8_t mask_;
-  uint64_t lo_;
-  uint64_t hi_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace
 
@@ -95,7 +58,7 @@ std::map<std::vector<uint8_t>, size_t> CountSubgraphClasses(
   return ParallelReduce<Counts>(
       n, EsuRootGrain(n), Counts{},
       [&](size_t lo, size_t hi) {
-        const ScopedChunkClock clock(lo, hi);
+        const ScopedItemTimer item(kSpanChunk, kHistChunkUs, lo, hi, 2);
         // Tally raw adjacency patterns (the chunk-local L1 — a hash probe
         // per emission, no allocation), then translate each distinct
         // pattern through the shared table once.

@@ -68,8 +68,7 @@ std::string EncodeEnumState(size_t next_root, const ClassMap& classes) {
   w.PutU64(next_root);
   w.PutU64(classes.size());
   for (const auto& [code, entry] : classes) {
-    w.PutString(std::string_view(reinterpret_cast<const char*>(code.data()),
-                                 code.size()));
+    w.PutU8Vec(code);
     EncodeSmallGraph(entry.pattern, &w);
     EncodeOccurrences(entry.occurrences, &w);
   }
@@ -79,50 +78,18 @@ std::string EncodeEnumState(size_t next_root, const ClassMap& classes) {
 Status DecodeEnumState(std::string_view payload, size_t* next_root,
                        ClassMap* classes) {
   ByteReader r(payload);
-  uint64_t root = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&root));
-  *next_root = static_cast<size_t>(root);
-  uint64_t num_classes = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&num_classes));
+  *next_root = static_cast<size_t>(r.GetU64());
+  const uint64_t num_classes = r.GetU64();
   classes->clear();
-  for (uint64_t i = 0; i < num_classes; ++i) {
-    std::string code_bytes;
-    LAMO_RETURN_IF_ERROR(r.GetString(&code_bytes));
+  for (uint64_t i = 0; i < num_classes && r.ok(); ++i) {
+    std::vector<uint8_t> code = r.GetU8Vec("class code");
     ClassEntry entry;
-    LAMO_RETURN_IF_ERROR(DecodeSmallGraph(&r, &entry.pattern));
-    LAMO_RETURN_IF_ERROR(DecodeOccurrences(
-        &r, entry.pattern.num_vertices(), &entry.occurrences));
-    std::vector<uint8_t> code(code_bytes.begin(), code_bytes.end());
+    DecodeSmallGraph(&r, &entry.pattern);
+    DecodeOccurrences(&r, entry.pattern.num_vertices(), &entry.occurrences);
     classes->emplace(std::move(code), std::move(entry));
   }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in enum state");
-  return Status::OK();
-}
-
-std::string EncodeWinState(size_t next_replicate,
-                           const std::vector<uint64_t>& wins) {
-  ByteWriter w;
-  w.PutU64(next_replicate);
-  w.PutU64(wins.size());
-  for (const uint64_t v : wins) w.PutU64(v);
-  return w.TakeBytes();
-}
-
-Status DecodeWinState(std::string_view payload, size_t expected_classes,
-                      size_t* next_replicate, std::vector<uint64_t>* wins) {
-  ByteReader r(payload);
-  uint64_t rep = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&rep));
-  *next_replicate = static_cast<size_t>(rep);
-  uint64_t count = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&count));
-  if (count != expected_classes) {
-    return Status::Corruption("uniqueness win-vector size mismatch");
-  }
-  wins->assign(static_cast<size_t>(count), 0);
-  for (uint64_t& v : *wins) LAMO_RETURN_IF_ERROR(r.GetU64(&v));
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in win state");
-  return Status::OK();
+  if (r.ok() && !r.AtEnd()) r.Fail("trailing bytes in enum state");
+  return r.status();
 }
 
 }  // namespace

@@ -195,8 +195,7 @@ std::string EncodeLevelState(size_t level_size, const LevelMap& level,
   for (const auto& [code, entry] : level) {
     const OccurrenceList& occurrences =
         level_in_results ? results[moved++].occurrences : entry.occurrences;
-    w.PutString(std::string_view(reinterpret_cast<const char*>(code.data()),
-                                 code.size()));
+    w.PutU8Vec(code);
     EncodeSmallGraph(entry.pattern, &w);
     EncodeOccurrences(occurrences, &w);
   }
@@ -208,32 +207,23 @@ std::string EncodeLevelState(size_t level_size, const LevelMap& level,
 Status DecodeLevelState(std::string_view payload, size_t* level_size,
                         LevelMap* level, std::vector<Motif>* results) {
   ByteReader r(payload);
-  uint64_t size = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&size));
-  *level_size = static_cast<size_t>(size);
-  uint64_t num_patterns = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&num_patterns));
+  *level_size = static_cast<size_t>(r.GetU64());
+  const uint64_t num_patterns = r.GetU64();
   level->clear();
-  for (uint64_t i = 0; i < num_patterns; ++i) {
-    std::string code_bytes;
-    LAMO_RETURN_IF_ERROR(r.GetString(&code_bytes));
+  for (uint64_t i = 0; i < num_patterns && r.ok(); ++i) {
+    std::vector<uint8_t> code = r.GetU8Vec("pattern code");
     PatternEntry entry;
-    LAMO_RETURN_IF_ERROR(DecodeSmallGraph(&r, &entry.pattern));
-    LAMO_RETURN_IF_ERROR(DecodeOccurrences(
-        &r, entry.pattern.num_vertices(), &entry.occurrences));
-    level->emplace(std::vector<uint8_t>(code_bytes.begin(), code_bytes.end()),
-                   std::move(entry));
+    DecodeSmallGraph(&r, &entry.pattern);
+    DecodeOccurrences(&r, entry.pattern.num_vertices(), &entry.occurrences);
+    level->emplace(std::move(code), std::move(entry));
   }
-  uint64_t num_results = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&num_results));
+  const uint64_t num_results = r.GetU64();
   results->clear();
-  for (uint64_t i = 0; i < num_results; ++i) {
-    Motif m;
-    LAMO_RETURN_IF_ERROR(DecodeMotif(&r, &m));
-    results->push_back(std::move(m));
+  for (uint64_t i = 0; i < num_results && r.ok(); ++i) {
+    DecodeMotif(&r, &results->emplace_back());
   }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in level state");
-  return Status::OK();
+  if (r.ok() && !r.AtEnd()) r.Fail("trailing bytes in level state");
+  return r.status();
 }
 
 }  // namespace

@@ -24,25 +24,24 @@ void EncodeSmallGraph(const SmallGraph& g, ByteWriter* w) {
 }
 
 Status DecodeSmallGraph(ByteReader* r, SmallGraph* g) {
-  uint32_t n = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU32(&n));
+  const uint32_t n = r->GetU32();
   if (n > SmallGraph::kMaxVertices) {
-    return Status::Corruption("SmallGraph vertex count out of range");
+    r->Fail("SmallGraph vertex count out of range");
   }
-  uint32_t num_edges = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU32(&num_edges));
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  edges.reserve(num_edges);
-  for (uint32_t i = 0; i < num_edges; ++i) {
-    uint8_t a = 0, b = 0;
-    LAMO_RETURN_IF_ERROR(r->GetU8(&a));
-    LAMO_RETURN_IF_ERROR(r->GetU8(&b));
-    edges.emplace_back(a, b);
+  const uint32_t num_edges = r->GetU32();
+  if (num_edges > r->remaining() / 2) {
+    r->Fail("SmallGraph edge count out of range");
   }
+  std::vector<std::pair<uint32_t, uint32_t>> edges(r->ok() ? num_edges : 0);
+  for (auto& [a, b] : edges) {
+    a = r->GetU8();
+    b = r->GetU8();
+  }
+  if (!r->ok()) return r->status();
   StatusOr<SmallGraph> built = SmallGraph::FromEdges(n, edges);
   if (!built.ok()) {
-    return Status::Corruption("SmallGraph edges invalid: " +
-                              built.status().message());
+    r->Fail("SmallGraph edges invalid: " + built.status().message());
+    return r->status();
   }
   *g = std::move(built).value();
   return Status::OK();
@@ -57,75 +56,49 @@ void EncodeOccurrences(const OccurrenceList& occurrences, ByteWriter* w) {
 }
 
 Status DecodeOccurrences(ByteReader* r, size_t k, OccurrenceList* out) {
-  uint64_t num_occurrences = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU64(&num_occurrences));
   // Each record is a u64 length and k u32 ids, so the count is bounded by
   // the bytes left; checking that up front lets the list be sized once.
-  if (k == 0 ? num_occurrences != 0
-             : num_occurrences > r->remaining() / (8 + 4 * k)) {
-    return Status::Corruption("occurrence count out of range");
+  const size_t num_occurrences = r->GetCount(8 + 4 * k, "occurrence");
+  if (k == 0 && num_occurrences != 0) {
+    r->Fail("occurrence count out of range");
   }
   *out = OccurrenceList(k);
-  out->reserve(static_cast<size_t>(num_occurrences));
-  for (uint64_t i = 0; i < num_occurrences; ++i) {
-    uint64_t num_proteins = 0;
-    LAMO_RETURN_IF_ERROR(r->GetU64(&num_proteins));
-    if (num_proteins != k) {
-      return Status::Corruption("occurrence size does not match the pattern");
-    }
-    for (VertexId& v : out->push_back_uninitialized()) {
-      LAMO_RETURN_IF_ERROR(r->GetU32(&v));
-    }
+  out->reserve(r->ok() ? num_occurrences : 0);
+  for (size_t i = 0; i < num_occurrences && r->ok(); ++i) {
+    if (r->GetU64() != k) r->Fail("occurrence size does not match the pattern");
+    for (VertexId& v : out->push_back_uninitialized()) v = r->GetU32();
   }
-  return Status::OK();
+  return r->status();
 }
 
 void EncodeMotif(const Motif& m, ByteWriter* w) {
   EncodeSmallGraph(m.pattern, w);
-  w->PutU64(m.code.size());
-  for (const uint8_t b : m.code) w->PutU8(b);
+  w->PutU8Vec(m.code);
   EncodeOccurrences(m.occurrences, w);
   w->PutU64(m.frequency);
   w->PutDouble(m.uniqueness);
   w->PutU64(m.symmetric_sets_override.size());
-  for (const auto& set : m.symmetric_sets_override) {
-    w->PutU64(set.size());
-    for (const uint32_t v : set) w->PutU32(v);
-  }
+  for (const auto& set : m.symmetric_sets_override) w->PutU32Vec(set);
 }
 
 Status DecodeMotif(ByteReader* r, Motif* m) {
-  LAMO_RETURN_IF_ERROR(DecodeSmallGraph(r, &m->pattern));
-  uint64_t code_size = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU64(&code_size));
-  if (code_size > r->remaining()) {
-    return Status::Corruption("motif code length out of range");
-  }
-  m->code.assign(static_cast<size_t>(code_size), 0);
-  for (uint8_t& b : m->code) LAMO_RETURN_IF_ERROR(r->GetU8(&b));
-  LAMO_RETURN_IF_ERROR(
-      DecodeOccurrences(r, m->pattern.num_vertices(), &m->occurrences));
-  uint64_t frequency = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU64(&frequency));
-  m->frequency = static_cast<size_t>(frequency);
-  LAMO_RETURN_IF_ERROR(r->GetDouble(&m->uniqueness));
-  uint64_t num_sets = 0;
-  LAMO_RETURN_IF_ERROR(r->GetU64(&num_sets));
+  DecodeSmallGraph(r, &m->pattern);
+  m->code = r->GetU8Vec("motif code");
+  DecodeOccurrences(r, m->pattern.num_vertices(), &m->occurrences);
+  m->frequency = static_cast<size_t>(r->GetU64());
+  m->uniqueness = r->GetDouble();
+  const uint64_t num_sets = r->GetU64();
   if (num_sets > SmallGraph::kMaxVertices) {
-    return Status::Corruption("motif symmetric-set count out of range");
+    r->Fail("motif symmetric-set count out of range");
   }
-  m->symmetric_sets_override.clear();
-  for (uint64_t i = 0; i < num_sets; ++i) {
-    uint64_t set_size = 0;
-    LAMO_RETURN_IF_ERROR(r->GetU64(&set_size));
-    if (set_size > SmallGraph::kMaxVertices) {
-      return Status::Corruption("motif symmetric-set size out of range");
+  m->symmetric_sets_override.assign(r->ok() ? num_sets : 0, {});
+  for (std::vector<uint32_t>& set : m->symmetric_sets_override) {
+    set = r->GetU32Vec("motif symmetric set");
+    if (set.size() > SmallGraph::kMaxVertices) {
+      r->Fail("motif symmetric-set size out of range");
     }
-    std::vector<uint32_t> set(static_cast<size_t>(set_size), 0);
-    for (uint32_t& v : set) LAMO_RETURN_IF_ERROR(r->GetU32(&v));
-    m->symmetric_sets_override.push_back(std::move(set));
   }
-  return Status::OK();
+  return r->status();
 }
 
 }  // namespace lamo

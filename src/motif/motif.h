@@ -10,7 +10,7 @@
 
 #include "graph/graph.h"
 #include "graph/small_graph.h"
-#include "util/checkpoint.h"
+#include "util/bytes.h"
 #include "util/logging.h"
 #include "util/status.h"
 
@@ -141,9 +141,10 @@ struct Motif {
   std::string ToString() const;
 };
 
-/// Binary codecs used by checkpoint payloads (little-endian, bounds-checked
-/// on decode). Encode(Decode(x)) is the identity; Decode rejects malformed
-/// input with a Status instead of crashing.
+/// Binary codecs used by checkpoint payloads (util/bytes.h primitives).
+/// Encode(Decode(x)) is the identity. Decode rejects malformed input by
+/// latching a Corruption in `r` and returns r->status(), so a caller decoding
+/// several records in a row may check the reader once at the end.
 void EncodeSmallGraph(const SmallGraph& g, ByteWriter* w);
 Status DecodeSmallGraph(ByteReader* r, SmallGraph* g);
 /// An occurrence list: u64 count, then per occurrence a u64 length (always

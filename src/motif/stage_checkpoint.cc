@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "obs/obs.h"
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace lamo {
@@ -56,6 +57,26 @@ void StageCheckpointer::RecordDecodeFailure() const {
   LAMO_LOG(Warning) << "checkpoint payload for stage " << stage_
                  << " failed to decode; restarting it clean";
   ObsIncrement(kObsLoadFailures);
+}
+
+std::string EncodeWinState(size_t next_replicate,
+                           const std::vector<uint64_t>& wins) {
+  ByteWriter w;
+  w.PutU64(next_replicate);
+  w.PutU64Vec(wins);
+  return w.TakeBytes();
+}
+
+Status DecodeWinState(std::string_view payload, size_t expected_count,
+                      size_t* next_replicate, std::vector<uint64_t>* wins) {
+  ByteReader r(payload);
+  *next_replicate = static_cast<size_t>(r.GetU64());
+  *wins = r.GetU64Vec("win");
+  if (r.ok() && wins->size() != expected_count) {
+    r.Fail("uniqueness win-vector size mismatch");
+  }
+  if (r.ok() && !r.AtEnd()) r.Fail("trailing bytes in win state");
+  return r.status();
 }
 
 uint64_t GraphFingerprint(const Graph& g) {

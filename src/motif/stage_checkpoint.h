@@ -1,8 +1,10 @@
 #ifndef LAMO_MOTIF_STAGE_CHECKPOINT_H_
 #define LAMO_MOTIF_STAGE_CHECKPOINT_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "graph/graph.h"
 #include "util/checkpoint.h"
@@ -46,6 +48,14 @@ class StageCheckpointer {
   std::string stage_;
   uint64_t fingerprint_;
 };
+
+/// Payload of the two uniqueness stages ("uniqueness", "mine_uniq_<k>"): the
+/// next replicate to run and the per-motif win counts so far. Decode rejects
+/// a win vector whose length is not `expected_count`.
+std::string EncodeWinState(size_t next_replicate,
+                           const std::vector<uint64_t>& wins);
+Status DecodeWinState(std::string_view payload, size_t expected_count,
+                      size_t* next_replicate, std::vector<uint64_t>* wins);
 
 /// FNV-1a fingerprint of a graph's structure (vertex count + full adjacency),
 /// the input half of a stage's checkpoint fingerprint.

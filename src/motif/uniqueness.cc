@@ -38,37 +38,10 @@ uint64_t UniquenessFingerprint(const Graph& graph,
   // valid for this exact motif list.
   w.PutU64(motifs.size());
   for (const Motif& m : motifs) {
-    w.PutString(std::string_view(reinterpret_cast<const char*>(m.code.data()),
-                                 m.code.size()));
+    w.PutU8Vec(m.code);
     w.PutU64(m.frequency);
   }
   return Fnv1a64(w.bytes());
-}
-
-std::string EncodeWinState(size_t next_replicate,
-                           const std::vector<uint64_t>& wins) {
-  ByteWriter w;
-  w.PutU64(next_replicate);
-  w.PutU64(wins.size());
-  for (const uint64_t v : wins) w.PutU64(v);
-  return w.TakeBytes();
-}
-
-Status DecodeWinState(std::string_view payload, size_t expected_motifs,
-                      size_t* next_replicate, std::vector<uint64_t>* wins) {
-  ByteReader r(payload);
-  uint64_t rep = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&rep));
-  *next_replicate = static_cast<size_t>(rep);
-  uint64_t count = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&count));
-  if (count != expected_motifs) {
-    return Status::Corruption("uniqueness win-vector size mismatch");
-  }
-  wins->assign(static_cast<size_t>(count), 0);
-  for (uint64_t& v : *wins) LAMO_RETURN_IF_ERROR(r.GetU64(&v));
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in win state");
-  return Status::OK();
 }
 
 }  // namespace

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/bytes.h"
+
 namespace lamo {
 
 uint64_t RouterHash(const std::string& key) {
-  uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const char c : key) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV-1a prime
-  }
-  return hash;
+  return Fnv1a64(key, kFnvLegacyBasis);
 }
 
 size_t ShardBackend(uint32_t protein, size_t num_backends) {

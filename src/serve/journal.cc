@@ -7,6 +7,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "util/atomic_io.h"
 #include "util/fault.h"
 
 namespace lamo {
@@ -62,72 +63,55 @@ StatusOr<UpdateJournal> UpdateJournal::Open(const std::string& path,
                                             std::vector<DeltaEntry>* replay) {
   replay->clear();
   const std::string header = HeaderLine(snapshot_checksum);
-  FILE* existing = fopen(path.c_str(), "r");
+  // Replay a pre-existing journal (a missing one reads as empty): the header
+  // must bind to this snapshot; complete entry lines are parsed; a torn
+  // trailing fragment (no '\n') is the unacknowledged update a crash left
+  // behind — skip it.
+  std::string content;
+  const Status read = ReadFileToString(path, &content);
+  if (!read.ok() && !read.IsNotFound()) return read;
   size_t entries = 0;
-  if (existing != nullptr) {
-    // Replay a pre-existing journal: header must bind to this snapshot;
-    // complete entry lines are parsed; a torn trailing fragment (no '\n')
-    // is the unacknowledged update a crash left behind — skip it.
-    std::string content;
-    char buf[4096];
-    size_t got;
-    while ((got = fread(buf, 1, sizeof(buf), existing)) > 0) {
-      content.append(buf, got);
-    }
-    fclose(existing);
-    size_t pos = 0;
-    bool saw_header = false;
-    while (pos < content.size()) {
-      const size_t nl = content.find('\n', pos);
-      if (nl == std::string::npos) break;  // torn trailing line
-      std::string line = content.substr(pos, nl - pos);
-      pos = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!saw_header) {
-        if (line != header) {
-          return Status::Corruption(
-              "journal " + path + " does not belong to this snapshot: "
-              "header \"" + line + "\" wants \"" + header + "\"");
-        }
-        saw_header = true;
-        continue;
+  size_t pos = 0;
+  bool saw_header = false;
+  while (pos < content.size()) {
+    const size_t nl = content.find('\n', pos);
+    if (nl == std::string::npos) break;  // torn trailing line
+    std::string line = content.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!saw_header) {
+      if (line != header) {
+        return Status::Corruption(
+            "journal " + path + " does not belong to this snapshot: "
+            "header \"" + line + "\" wants \"" + header + "\"");
       }
-      if (IsDeltaComment(line)) continue;
-      StatusOr<DeltaEntry> entry = ParseDeltaLine(line);
-      if (!entry.ok()) return entry.status();
-      replay->push_back(*entry);
-      ++entries;
+      saw_header = true;
+      continue;
     }
-    if (!saw_header && !content.empty()) {
-      return Status::Corruption("journal " + path +
-                                " has no complete header line");
-    }
-    FILE* file = fopen(path.c_str(), "a");
-    if (file == nullptr) {
-      return Status::IoError("cannot reopen journal " + path +
-                             " for append: " + strerror(errno));
-    }
-    if (content.empty()) {
-      // An empty file (e.g. touch'd by an operator): write the header now.
-      if (fprintf(file, "%s\n", header.c_str()) < 0 || fflush(file) != 0 ||
-          fsync(fileno(file)) != 0) {
-        fclose(file);
-        return Status::IoError("cannot write journal header to " + path);
-      }
-    }
-    return UpdateJournal(path, file, entries);
+    if (IsDeltaComment(line)) continue;
+    StatusOr<DeltaEntry> entry = ParseDeltaLine(line);
+    if (!entry.ok()) return entry.status();
+    replay->push_back(*entry);
+    ++entries;
+  }
+  if (!saw_header && !content.empty()) {
+    return Status::Corruption("journal " + path +
+                              " has no complete header line");
   }
   FILE* file = fopen(path.c_str(), "a");
   if (file == nullptr) {
-    return Status::IoError("cannot create journal " + path + ": " +
-                           strerror(errno));
+    return Status::IoError("cannot open journal " + path +
+                           " for append: " + strerror(errno));
   }
-  if (fprintf(file, "%s\n", header.c_str()) < 0 || fflush(file) != 0 ||
-      fsync(fileno(file)) != 0) {
-    fclose(file);
-    return Status::IoError("cannot write journal header to " + path);
+  if (content.empty()) {
+    // A new or empty file (e.g. touch'd by an operator): write the header.
+    if (fprintf(file, "%s\n", header.c_str()) < 0 || fflush(file) != 0 ||
+        fsync(fileno(file)) != 0) {
+      fclose(file);
+      return Status::IoError("cannot write journal header to " + path);
+    }
   }
-  return UpdateJournal(path, file, 0);
+  return UpdateJournal(path, file, entries);
 }
 
 UpdateJournal::UpdateJournal(UpdateJournal&& other) noexcept

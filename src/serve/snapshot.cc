@@ -1,13 +1,13 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 
 #include "predict/gds.h"
 #include "predict/role_similarity.h"
 #include "util/atomic_io.h"
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace lamo {
@@ -152,211 +152,6 @@ struct SnapshotAccess {
 
 namespace {
 
-// ---- encoding primitives (little-endian, fixed width) ----------------------
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutDouble(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-void PutU8Vec(std::string* out, const std::vector<uint8_t>& v) {
-  PutU64(out, v.size());
-  out->append(reinterpret_cast<const char*>(v.data()), v.size());
-}
-
-void PutU32Vec(std::string* out, const std::vector<uint32_t>& v) {
-  PutU64(out, v.size());
-  for (uint32_t x : v) PutU32(out, x);
-}
-
-void PutSizeVec(std::string* out, const std::vector<size_t>& v) {
-  PutU64(out, v.size());
-  for (size_t x : v) PutU64(out, x);
-}
-
-void PutU64Vec(std::string* out, const std::vector<uint64_t>& v) {
-  PutU64(out, v.size());
-  for (uint64_t x : v) PutU64(out, x);
-}
-
-void PutDoubleVec(std::string* out, const std::vector<double>& v) {
-  PutU64(out, v.size());
-  for (double x : v) PutDouble(out, x);
-}
-
-void PutBoolVec(std::string* out, const std::vector<bool>& v) {
-  PutU64(out, v.size());
-  for (bool b : v) PutU8(out, b ? 1 : 0);
-}
-
-// FNV-1a 64-bit over the document body; stored as the trailing 8 bytes.
-uint64_t Checksum(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// ---- bounds-checked decoding cursor ----------------------------------------
-
-// Reads primitives sequentially; the first short read or failed validation
-// latches an error message and makes every subsequent read a cheap no-op, so
-// decode code can run straight-line and check once at the end.
-class Cursor {
- public:
-  Cursor(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ok() const { return ok_; }
-  const std::string& error() const { return error_; }
-  size_t remaining() const { return size_ - pos_; }
-
-  void Fail(const std::string& message) {
-    if (!ok_) return;
-    ok_ = false;
-    error_ = message + " at offset " + std::to_string(pos_);
-  }
-
-  uint8_t GetU8() {
-    if (!Need(1, "u8")) return 0;
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-
-  uint32_t GetU32() {
-    if (!Need(4, "u32")) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  uint64_t GetU64() {
-    if (!Need(8, "u64")) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  double GetDouble() { return std::bit_cast<double>(GetU64()); }
-
-  std::string GetString() {
-    const uint32_t n = GetU32();
-    if (!Need(n, "string body")) return {};
-    std::string s(data_ + pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  // Element counts are validated against the remaining bytes *before*
-  // allocation, so a corrupt length cannot trigger a huge allocation.
-  size_t GetCount(size_t element_bytes, const char* what) {
-    const uint64_t n = GetU64();
-    if (!ok_) return 0;
-    if (element_bytes != 0 && n > remaining() / element_bytes) {
-      Fail(std::string("implausible ") + what + " count " + std::to_string(n));
-      return 0;
-    }
-    return static_cast<size_t>(n);
-  }
-
-  std::vector<uint8_t> GetU8Vec(const char* what) {
-    const size_t n = GetCount(1, what);
-    std::vector<uint8_t> v;
-    if (!ok_ || !Need(n, what)) return v;
-    v.assign(reinterpret_cast<const uint8_t*>(data_) + pos_,
-             reinterpret_cast<const uint8_t*>(data_) + pos_ + n);
-    pos_ += n;
-    return v;
-  }
-
-  std::vector<uint32_t> GetU32Vec(const char* what) {
-    const size_t n = GetCount(4, what);
-    std::vector<uint32_t> v;
-    if (!ok_) return v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && ok_; ++i) v.push_back(GetU32());
-    return v;
-  }
-
-  std::vector<size_t> GetSizeVec(const char* what) {
-    const size_t n = GetCount(8, what);
-    std::vector<size_t> v;
-    if (!ok_) return v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && ok_; ++i) {
-      v.push_back(static_cast<size_t>(GetU64()));
-    }
-    return v;
-  }
-
-  std::vector<uint64_t> GetU64Vec(const char* what) {
-    const size_t n = GetCount(8, what);
-    std::vector<uint64_t> v;
-    if (!ok_) return v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && ok_; ++i) v.push_back(GetU64());
-    return v;
-  }
-
-  std::vector<double> GetDoubleVec(const char* what) {
-    const size_t n = GetCount(8, what);
-    std::vector<double> v;
-    if (!ok_) return v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && ok_; ++i) v.push_back(GetDouble());
-    return v;
-  }
-
-  std::vector<bool> GetBoolVec(const char* what) {
-    const size_t n = GetCount(1, what);
-    std::vector<bool> v;
-    if (!ok_) return v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && ok_; ++i) v.push_back(GetU8() != 0);
-    return v;
-  }
-
- private:
-  bool Need(size_t n, const char* what) {
-    if (!ok_) return false;
-    if (n > remaining()) {
-      Fail(std::string("truncated ") + what);
-      return false;
-    }
-    return true;
-  }
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-  std::string error_;
-};
-
 // ---- structural validation -------------------------------------------------
 
 // Offsets arrays must be monotone with exactly `flat` total entries — the
@@ -473,100 +268,101 @@ Snapshot MakeShard(const Snapshot& full, uint32_t shard_id,
 }
 
 std::string EncodeSnapshot(const Snapshot& snap) {
-  std::string out;
-  out.append(kSnapshotMagic, sizeof kSnapshotMagic);
-  PutU32(&out, kSnapshotVersion);
+  ByteWriter w;
+  w.PutBytes(std::string_view(kSnapshotMagic, sizeof kSnapshotMagic));
+  w.PutU32(kSnapshotVersion);
 
   // -- shard section --
-  PutU32(&out, snap.num_shards);
-  PutU32(&out, snap.shard_id);
+  w.PutU32(snap.num_shards);
+  w.PutU32(snap.shard_id);
 
   // -- graph (CSR) --
-  PutSizeVec(&out, SnapshotAccess::GraphOffsets(snap.graph));
-  PutU32Vec(&out, SnapshotAccess::GraphNeighbors(snap.graph));
+  w.PutSizeVec(SnapshotAccess::GraphOffsets(snap.graph));
+  w.PutU32Vec(SnapshotAccess::GraphNeighbors(snap.graph));
 
   // -- ontology --
   const Ontology& o = snap.ontology;
-  PutU64(&out, SnapshotAccess::Names(o).size());
+  w.PutU64(SnapshotAccess::Names(o).size());
   for (const std::string& name : SnapshotAccess::Names(o)) {
-    PutString(&out, name);
+    w.PutU32(static_cast<uint32_t>(name.size()));  // u32, not u64: §Primitives
+    w.PutBytes(name);
   }
-  PutSizeVec(&out, SnapshotAccess::ParentOffsets(o));
-  PutU32Vec(&out, SnapshotAccess::ParentsFlat(o));
-  PutU64(&out, SnapshotAccess::ParentRelationsFlat(o).size());
+  w.PutSizeVec(SnapshotAccess::ParentOffsets(o));
+  w.PutU32Vec(SnapshotAccess::ParentsFlat(o));
+  w.PutU64(SnapshotAccess::ParentRelationsFlat(o).size());
   for (RelationType r : SnapshotAccess::ParentRelationsFlat(o)) {
-    PutU8(&out, static_cast<uint8_t>(r));
+    w.PutU8(static_cast<uint8_t>(r));
   }
-  PutSizeVec(&out, SnapshotAccess::ChildOffsets(o));
-  PutU32Vec(&out, SnapshotAccess::ChildrenFlat(o));
-  PutU32Vec(&out, SnapshotAccess::Roots(o));
-  PutU32Vec(&out, SnapshotAccess::TopoOrder(o));
-  PutSizeVec(&out, SnapshotAccess::AncestorOffsets(o));
-  PutU32Vec(&out, SnapshotAccess::AncestorsFlat(o));
-  PutU32Vec(&out, SnapshotAccess::Depths(o));
+  w.PutSizeVec(SnapshotAccess::ChildOffsets(o));
+  w.PutU32Vec(SnapshotAccess::ChildrenFlat(o));
+  w.PutU32Vec(SnapshotAccess::Roots(o));
+  w.PutU32Vec(SnapshotAccess::TopoOrder(o));
+  w.PutSizeVec(SnapshotAccess::AncestorOffsets(o));
+  w.PutU32Vec(SnapshotAccess::AncestorsFlat(o));
+  w.PutU32Vec(SnapshotAccess::Depths(o));
 
   // -- annotations --
   const auto& annotations = SnapshotAccess::Annotations(snap.annotations);
-  PutU64(&out, annotations.size());
+  w.PutU64(annotations.size());
   for (const std::vector<TermId>& terms : annotations) {
-    PutU32Vec(&out, terms);
+    w.PutU32Vec(terms);
   }
 
   // -- term weights --
-  PutDoubleVec(&out, SnapshotAccess::Weights(snap.weights));
-  PutDoubleVec(&out, SnapshotAccess::LogWeights(snap.weights));
+  w.PutDoubleVec(SnapshotAccess::Weights(snap.weights));
+  w.PutDoubleVec(SnapshotAccess::LogWeights(snap.weights));
 
   // -- informative classes --
-  PutBoolVec(&out, SnapshotAccess::Informative(snap.informative));
-  PutBoolVec(&out, SnapshotAccess::Border(snap.informative));
-  PutBoolVec(&out, SnapshotAccess::Candidate(snap.informative));
-  PutU32Vec(&out, SnapshotAccess::InformativeTerms(snap.informative));
-  PutU32Vec(&out, SnapshotAccess::BorderTerms(snap.informative));
+  w.PutBoolVec(SnapshotAccess::Informative(snap.informative));
+  w.PutBoolVec(SnapshotAccess::Border(snap.informative));
+  w.PutBoolVec(SnapshotAccess::Candidate(snap.informative));
+  w.PutU32Vec(SnapshotAccess::InformativeTerms(snap.informative));
+  w.PutU32Vec(SnapshotAccess::BorderTerms(snap.informative));
 
   // -- labeled motifs --
-  PutU64(&out, snap.motifs.size());
+  w.PutU64(snap.motifs.size());
   for (const LabeledMotif& m : snap.motifs) {
     const size_t n = m.pattern.num_vertices();
-    PutU8(&out, static_cast<uint8_t>(n));
+    w.PutU8(static_cast<uint8_t>(n));
     const auto edges = m.pattern.Edges();
-    PutU64(&out, edges.size());
+    w.PutU64(edges.size());
     for (const auto& [a, b] : edges) {
-      PutU8(&out, static_cast<uint8_t>(a));
-      PutU8(&out, static_cast<uint8_t>(b));
+      w.PutU8(static_cast<uint8_t>(a));
+      w.PutU8(static_cast<uint8_t>(b));
     }
-    PutU8Vec(&out, m.code);
-    for (size_t v = 0; v < n; ++v) PutU32Vec(&out, m.scheme[v]);
-    PutU64(&out, m.occurrences.size());
-    for (const VertexId p : m.occurrences.ids()) PutU32(&out, p);
-    PutU64(&out, m.frequency);
-    PutDouble(&out, m.uniqueness);
-    PutDouble(&out, m.strength);
+    w.PutU8Vec(m.code);
+    for (size_t v = 0; v < n; ++v) w.PutU32Vec(m.scheme[v]);
+    w.PutU64(m.occurrences.size());
+    for (const VertexId p : m.occurrences.ids()) w.PutU32(p);
+    w.PutU64(m.frequency);
+    w.PutDouble(m.uniqueness);
+    w.PutDouble(m.strength);
   }
 
   // -- per-protein site index --
-  PutU64(&out, snap.sites.size());
+  w.PutU64(snap.sites.size());
   for (const std::vector<SnapshotSite>& sites : snap.sites) {
-    PutU64(&out, sites.size());
+    w.PutU64(sites.size());
     for (const SnapshotSite& site : sites) {
-      PutU32(&out, site.motif);
-      PutU32(&out, site.vertex);
+      w.PutU32(site.motif);
+      w.PutU32(site.vertex);
     }
   }
 
   // -- prediction context --
-  PutU32Vec(&out, snap.categories);
-  PutU64(&out, snap.protein_categories.size());
+  w.PutU32Vec(snap.categories);
+  w.PutU64(snap.protein_categories.size());
   for (const std::vector<TermId>& cats : snap.protein_categories) {
-    PutU32Vec(&out, cats);
+    w.PutU32Vec(cats);
   }
 
   // -- predictor section --
-  PutU64Vec(&out, snap.gds_signatures);
-  PutU32(&out, snap.role_dim);
-  PutDoubleVec(&out, snap.role_vectors);
+  w.PutU64Vec(snap.gds_signatures);
+  w.PutU32(snap.role_dim);
+  w.PutDoubleVec(snap.role_vectors);
 
-  PutU64(&out, Checksum(out.data(), out.size()));
-  return out;
+  w.PutU64(Fnv1a64(w.bytes(), kFnvLegacyBasis));
+  return w.TakeBytes();
 }
 
 StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
@@ -578,13 +374,11 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
   if (std::memcmp(bytes.data(), kSnapshotMagic, sizeof kSnapshotMagic) != 0) {
     return Status::Corruption("bad snapshot magic (not a .lamosnap file)");
   }
-  const size_t body = bytes.size() - 8;
-  uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[body + i]))
-              << (8 * i);
-  }
-  const uint64_t actual = Checksum(bytes.data(), body);
+  const std::string_view body =
+      std::string_view(bytes).substr(0, bytes.size() - 8);
+  const uint64_t stored =
+      ByteReader(std::string_view(bytes).substr(body.size())).GetU64();
+  const uint64_t actual = Fnv1a64(body, kFnvLegacyBasis);
   if (stored != actual) {
     char msg[96];
     std::snprintf(msg, sizeof msg,
@@ -595,9 +389,8 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
     return Status::Corruption(msg);
   }
 
-  Cursor in(bytes.data(), body);
-  in.GetU8();  // magic, already validated
-  for (size_t i = 1; i < sizeof kSnapshotMagic; ++i) in.GetU8();
+  ByteReader in(body);
+  in.GetBytes(sizeof kSnapshotMagic, "magic");  // already validated
   const uint32_t version = in.GetU32();
   if (version != kSnapshotVersion) {
     return Status::InvalidArgument(
@@ -637,7 +430,7 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
   std::vector<std::string> names;
   names.reserve(in.ok() ? num_terms : 0);
   for (size_t i = 0; i < num_terms && in.ok(); ++i) {
-    names.push_back(in.GetString());
+    names.emplace_back(in.GetBytes(in.GetU32(), "string body"));
   }
   auto parent_offsets = in.GetSizeVec("parent offsets");
   auto parents_flat = in.GetU32Vec("parents");
@@ -833,17 +626,9 @@ Status WriteSnapshot(const Snapshot& snapshot, const std::string& path) {
 }
 
 StatusOr<Snapshot> ReadSnapshot(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
   std::string bytes;
-  char buffer[1 << 16];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof buffer, f)) > 0) {
-    bytes.append(buffer, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::IoError("read error on " + path);
+  const Status read = ReadFileToString(path, &bytes);
+  if (!read.ok()) return Status::IoError(read.message());
   auto snapshot = DecodeSnapshot(bytes);
   if (!snapshot.ok()) {
     return Status(snapshot.status().code() == StatusCode::kInvalidArgument

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "util/fault.h"
@@ -64,6 +63,33 @@ Status FsyncDirOf(const std::string& path) {
 }
 
 }  // namespace
+
+Status ReadFileToString(const std::string& path, std::string* out) {
+  const int fd = open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) return Status::NotFound("no file at " + path);
+    return IoErrorFor("open", path);
+  }
+  out->clear();
+  struct stat st;
+  if (fstat(fd, &st) == 0 && st.st_size > 0) {
+    out->reserve(static_cast<size_t>(st.st_size));
+  }
+  char buf[1 << 16];
+  for (;;) {
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const Status status = IoErrorFor("read", path);
+      close(fd);
+      return status;
+    }
+    out->append(buf, static_cast<size_t>(n));
+  }
+  close(fd);
+  return Status::OK();
+}
 
 std::string AtomicTmpPath(const std::string& path) { return path + ".tmp"; }
 

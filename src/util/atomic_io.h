@@ -28,6 +28,10 @@ namespace lamo {
 Status WriteFileAtomic(const std::string& path, std::string_view bytes,
                        size_t* fsync_out = nullptr);
 
+/// Reads the whole of `path` into `out`. NotFound if the file does not
+/// exist, IoError for any other open or read failure.
+Status ReadFileToString(const std::string& path, std::string* out);
+
 /// The deterministic tmp path WriteFileAtomic stages through (for tests and
 /// leftover cleanup).
 std::string AtomicTmpPath(const std::string& path);

@@ -1,0 +1,157 @@
+#ifndef LAMO_UTIL_BYTES_H_
+#define LAMO_UTIL_BYTES_H_
+
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "util/status.h"
+
+namespace lamo {
+
+/// ---- The one binary codec ------------------------------------------------
+///
+/// Checkpoint payloads and the `.lamosnap` snapshot share these primitives
+/// (docs/FORMATS.md §Primitives): fixed-width little-endian integers, IEEE
+/// doubles as their u64 bits, and vectors as a u64 element count followed by
+/// the elements at fixed width (bools one byte each).
+
+/// Appends primitives to a growing byte string.
+class ByteWriter {
+ public:
+  void PutU8(uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
+  void PutU32(uint32_t v) {
+    for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void PutU64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
+  /// u64 length + raw bytes.
+  void PutString(std::string_view s) {
+    PutU64(s.size());
+    bytes_.append(s);
+  }
+  /// Raw bytes, no length.
+  void PutBytes(std::string_view s) { bytes_.append(s); }
+
+  void PutU8Vec(const std::vector<uint8_t>& v) {
+    PutString(std::string_view(reinterpret_cast<const char*>(v.data()),
+                               v.size()));
+  }
+  void PutU32Vec(const std::vector<uint32_t>& v);
+  void PutU64Vec(const std::vector<uint64_t>& v);
+  /// size_t elements, each written as a u64.
+  void PutSizeVec(const std::vector<size_t>& v);
+  void PutDoubleVec(const std::vector<double>& v);
+  void PutBoolVec(const std::vector<bool>& v);
+
+  const std::string& bytes() const { return bytes_; }
+  std::string TakeBytes() { return std::move(bytes_); }
+
+ private:
+  std::string bytes_;
+};
+
+/// Reads primitives sequentially from a borrowed buffer. The first short
+/// read or failed check latches a Corruption at its offset; from then on
+/// every getter is a cheap no-op returning 0 or empty, so decoders run
+/// straight-line and test ok()/status() once at the end.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
+
+  bool ok() const { return ok_; }
+  /// OK, or Corruption carrying the first failure.
+  Status status() const;
+  /// The first failure's message ("<what> at offset <n>"); empty while ok().
+  const std::string& error() const { return error_; }
+  size_t remaining() const { return bytes_.size() - pos_; }
+  bool AtEnd() const { return pos_ == bytes_.size(); }
+
+  /// Latches `message` at the current offset unless a failure is latched.
+  void Fail(std::string_view message);
+
+  uint8_t GetU8() {
+    if (!Need(1, "u8")) return 0;
+    return static_cast<uint8_t>(bytes_[pos_++]);
+  }
+  uint32_t GetU32() {
+    if (!Need(4, "u32")) return 0;
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
+           << (8 * i);
+    }
+    pos_ += 4;
+    return v;
+  }
+  uint64_t GetU64() {
+    if (!Need(8, "u64")) return 0;
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
+           << (8 * i);
+    }
+    pos_ += 8;
+    return v;
+  }
+  double GetDouble() { return std::bit_cast<double>(GetU64()); }
+  /// The next `n` raw bytes (a view into the buffer).
+  std::string_view GetBytes(uint64_t n, const char* what) {
+    if (!Need(n, what)) return {};
+    const std::string_view s = bytes_.substr(pos_, n);
+    pos_ += n;
+    return s;
+  }
+  /// u64 length + raw bytes.
+  std::string GetString() {
+    return std::string(GetBytes(GetU64(), "string"));
+  }
+
+  /// A u64 element count, checked against the bytes left *before* anything
+  /// is allocated, so a corrupt count cannot trigger a huge allocation.
+  size_t GetCount(size_t element_bytes, const char* what);
+
+  std::vector<uint8_t> GetU8Vec(const char* what);
+  std::vector<uint32_t> GetU32Vec(const char* what);
+  std::vector<uint64_t> GetU64Vec(const char* what);
+  std::vector<size_t> GetSizeVec(const char* what);
+  std::vector<double> GetDoubleVec(const char* what);
+  std::vector<bool> GetBoolVec(const char* what);
+
+ private:
+  bool Need(uint64_t n, const char* what) {
+    if (!ok_) return false;
+    if (n > remaining()) {
+      FailTruncated(what);
+      return false;
+    }
+    return true;
+  }
+  void FailTruncated(const char* what);
+
+  std::string_view bytes_;
+  size_t pos_ = 0;
+  bool ok_ = true;
+  std::string error_;
+};
+
+/// FNV-1a 64-bit over `bytes`, seeded by `seed` (chain calls to hash several
+/// fields). The checkpoint and snapshot checksums, config fingerprints and
+/// the router's placement hash.
+uint64_t Fnv1a64(std::string_view bytes,
+                 uint64_t seed = 0xcbf29ce484222325ull);
+
+/// The offset basis the snapshot checksum and RouterHash were first written
+/// with: the standard 14695981039346656037 with its last decimal digit
+/// dropped. Kept so existing snapshots verify and shard placement holds.
+inline constexpr uint64_t kFnvLegacyBasis = 1469598103934665603ull;
+
+}  // namespace lamo
+
+#endif  // LAMO_UTIL_BYTES_H_

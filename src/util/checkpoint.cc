@@ -4,10 +4,10 @@
 #include <sys/types.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "util/atomic_io.h"
+#include "util/bytes.h"
 #include "util/fault.h"
 
 namespace lamo {
@@ -21,110 +21,7 @@ constexpr uint32_t kCkptVersion = 1;
 
 const size_t kFpSave = FaultPointId("checkpoint.save");
 
-Status ReadWholeFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (errno == ENOENT) {
-      return Status::NotFound("no checkpoint at " + path);
-    }
-    return Status::IoError("open failed for " + path + ": " +
-                           std::strerror(errno));
-  }
-  out->clear();
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::IoError("read failed for " + path);
-  return Status::OK();
-}
-
 }  // namespace
-
-void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::PutDouble(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
-void ByteWriter::PutString(std::string_view s) {
-  PutU64(s.size());
-  bytes_.append(s);
-}
-
-Status ByteReader::Take(size_t n, const char** out) {
-  if (n > bytes_.size() - pos_) {
-    return Status::Corruption("checkpoint payload truncated");
-  }
-  *out = bytes_.data() + pos_;
-  pos_ += n;
-  return Status::OK();
-}
-
-Status ByteReader::GetU8(uint8_t* v) {
-  const char* p;
-  LAMO_RETURN_IF_ERROR(Take(1, &p));
-  *v = static_cast<uint8_t>(*p);
-  return Status::OK();
-}
-
-Status ByteReader::GetU32(uint32_t* v) {
-  const char* p;
-  LAMO_RETURN_IF_ERROR(Take(4, &p));
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return Status::OK();
-}
-
-Status ByteReader::GetU64(uint64_t* v) {
-  const char* p;
-  LAMO_RETURN_IF_ERROR(Take(8, &p));
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return Status::OK();
-}
-
-Status ByteReader::GetDouble(double* v) {
-  uint64_t bits;
-  LAMO_RETURN_IF_ERROR(GetU64(&bits));
-  std::memcpy(v, &bits, sizeof(*v));
-  return Status::OK();
-}
-
-Status ByteReader::GetString(std::string* s) {
-  uint64_t len;
-  LAMO_RETURN_IF_ERROR(GetU64(&len));
-  if (len > bytes_.size() - pos_) {
-    return Status::Corruption("checkpoint string length out of range");
-  }
-  const char* p;
-  LAMO_RETURN_IF_ERROR(Take(static_cast<size_t>(len), &p));
-  s->assign(p, static_cast<size_t>(len));
-  return Status::OK();
-}
-
-uint64_t Fnv1a64(std::string_view bytes, uint64_t seed) {
-  uint64_t h = seed;
-  for (const char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 std::string CheckpointPath(const std::string& dir, const std::string& stage) {
   return dir + "/" + stage + ".ckpt";
@@ -154,40 +51,35 @@ Status LoadCheckpoint(const std::string& dir, const std::string& stage,
                       uint64_t fingerprint, std::string* payload) {
   const std::string path = CheckpointPath(dir, stage);
   std::string bytes;
-  LAMO_RETURN_IF_ERROR(ReadWholeFile(path, &bytes));
+  LAMO_RETURN_IF_ERROR(ReadFileToString(path, &bytes));
   if (bytes.size() < sizeof(kCkptMagic) + 8 ||
       std::memcmp(bytes.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) {
     return Status::Corruption("bad checkpoint magic in " + path);
   }
   const std::string_view body(bytes.data(), bytes.size() - 8);
-  ByteReader tail(std::string_view(bytes.data() + body.size(), 8));
-  uint64_t want_sum = 0;
-  LAMO_RETURN_IF_ERROR(tail.GetU64(&want_sum));
-  if (Fnv1a64(body) != want_sum) {
+  if (Fnv1a64(body) != ByteReader(std::string_view(bytes).substr(body.size()))
+                           .GetU64()) {
     return Status::Corruption("checkpoint checksum mismatch in " + path);
   }
   ByteReader r(body.substr(sizeof(kCkptMagic)));
-  uint32_t version = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU32(&version));
-  if (version != kCkptVersion) {
+  if (r.GetU32() != kCkptVersion) {
     return Status::Corruption("unsupported checkpoint version in " + path);
   }
-  std::string got_stage;
-  LAMO_RETURN_IF_ERROR(r.GetString(&got_stage));
-  if (got_stage != stage) {
+  const std::string got_stage = r.GetString();
+  if (r.ok() && got_stage != stage) {
     return Status::Corruption("checkpoint stage mismatch in " + path +
                               " (got \"" + got_stage + "\")");
   }
-  uint64_t got_fingerprint = 0;
-  LAMO_RETURN_IF_ERROR(r.GetU64(&got_fingerprint));
-  if (got_fingerprint != fingerprint) {
+  const uint64_t got_fingerprint = r.GetU64();
+  if (r.ok() && got_fingerprint != fingerprint) {
     return Status::FailedPrecondition(
         "checkpoint fingerprint mismatch in " + path +
         " (config or input changed since the checkpoint was written)");
   }
-  LAMO_RETURN_IF_ERROR(r.GetString(payload));
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes in checkpoint " + path);
+  *payload = r.GetString();
+  if (r.ok() && !r.AtEnd()) r.Fail("trailing bytes");
+  if (!r.ok()) {
+    return Status::Corruption("checkpoint " + path + ": " + r.error());
   }
   return Status::OK();
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/status.h"
 
@@ -33,47 +32,6 @@ struct CheckpointOptions {
 
   bool enabled() const { return !dir.empty(); }
 };
-
-/// Bounds-checked little-endian serializers for checkpoint payloads.
-class ByteWriter {
- public:
-  void PutU8(uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutDouble(double v);
-  void PutString(std::string_view s);  // u64 length + raw bytes
-  void PutBytes(std::string_view s) { bytes_.append(s); }
-
-  const std::string& bytes() const { return bytes_; }
-  std::string TakeBytes() { return std::move(bytes_); }
-
- private:
-  std::string bytes_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  Status GetU8(uint8_t* v);
-  Status GetU32(uint32_t* v);
-  Status GetU64(uint64_t* v);
-  Status GetDouble(double* v);
-  Status GetString(std::string* s);
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  Status Take(size_t n, const char** out);
-
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
-/// FNV-1a 64-bit over `bytes`, seeded by `seed` (chain calls to hash several
-/// fields). Used for both checkpoint checksums and config fingerprints.
-uint64_t Fnv1a64(std::string_view bytes, uint64_t seed = 0xcbf29ce484222325ull);
 
 /// Atomically writes `<dir>/<stage>.ckpt` (creating `dir` if needed).
 /// `fingerprint` identifies the config + input the payload belongs to;

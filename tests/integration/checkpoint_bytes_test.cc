@@ -1,0 +1,97 @@
+// Pins the bytes of every pipeline stage's checkpoint: a small seeded
+// dataset is mined (level-wise with uniqueness, and ESU at two sizes) and
+// labeled with checkpointing on, and each stage's final `.ckpt` file must
+// have the recorded size and FNV-1a 64. A codec change that moves a single
+// byte of any payload fails here, not only at the next resume.
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
+
+#include "core/lamofinder.h"
+#include "motif/esu_finder.h"
+#include "motif/uniqueness.h"
+#include "synth/dataset.h"
+#include "util/atomic_io.h"
+#include "util/bytes.h"
+#include "util/checkpoint.h"
+
+namespace lamo {
+namespace {
+
+struct RecordedFile {
+  const char* stage;
+  size_t size;
+  uint64_t fnv;
+};
+
+TEST(CheckpointBytesTest, EveryStageMatchesRecordedBytes) {
+  SyntheticDatasetConfig dataset_config;
+  dataset_config.num_proteins = 300;
+  dataset_config.go.num_terms = 60;
+  dataset_config.num_templates = 2;
+  dataset_config.copies_per_template = 20;
+  dataset_config.informative_threshold = 8;
+  dataset_config.seed = 20261019;
+  const SyntheticDataset dataset = BuildSyntheticDataset(dataset_config);
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "checkpoint_bytes";
+  std::filesystem::remove_all(dir);
+  CheckpointOptions checkpoint;
+  checkpoint.dir = dir.string();
+
+  MotifFindingConfig motif_config;
+  motif_config.miner.min_size = 3;
+  motif_config.miner.max_size = 4;
+  motif_config.miner.min_frequency = 15;
+  motif_config.uniqueness.num_random_networks = 3;
+  motif_config.uniqueness_threshold = 0.0;
+  motif_config.checkpoint = checkpoint;
+  const std::vector<Motif> motifs =
+      FindNetworkMotifs(dataset.ppi, motif_config);
+  ASSERT_FALSE(motifs.empty());
+
+  EsuMotifConfig esu_config;
+  esu_config.min_frequency = 15;
+  esu_config.num_random_networks = 3;
+  esu_config.uniqueness_threshold = -1.0;
+  esu_config.checkpoint = checkpoint;
+  for (const size_t size : {3, 4}) {
+    esu_config.size = size;
+    FindNetworkMotifsEsu(dataset.ppi, esu_config);
+  }
+
+  LaMoFinder finder(dataset.ontology, dataset.weights, dataset.informative,
+                    dataset.annotations);
+  LaMoFinderConfig label_config;
+  label_config.sigma = 6;
+  label_config.max_occurrences = 120;
+  label_config.checkpoint = checkpoint;
+  ASSERT_FALSE(finder.LabelAll(motifs, label_config).empty());
+
+  // Recorded from the build before the payload decoders moved onto the
+  // shared reader in util/bytes.h.
+  const RecordedFile recorded[] = {
+      {"mine_levels", 1407829, 0x49cc2d34e77a6b1fULL},
+      {"uniqueness", 134, 0x2cc799b4bbdbb4baULL},
+      {"mine_enum_3", 69793, 0xd72ab0b3b435a8ccULL},
+      {"mine_uniq_3", 87, 0x11dbbf82957ed6c3ULL},
+      {"mine_enum_4", 668989, 0x4f60975bed89093dULL},
+      {"mine_uniq_4", 119, 0xb6c8c6cc1e9e5169ULL},
+      {"label", 2407171, 0x95786286caba262cULL},
+  };
+  for (const RecordedFile& file : recorded) {
+    std::string bytes;
+    ASSERT_TRUE(
+        ReadFileToString(CheckpointPath(dir.string(), file.stage), &bytes)
+            .ok())
+        << file.stage;
+    EXPECT_EQ(bytes.size(), file.size) << file.stage;
+    EXPECT_EQ(Fnv1a64(bytes), file.fnv) << file.stage;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace lamo

@@ -10,21 +10,17 @@
 
 #include "predict/gds.h"
 #include "serve/snapshot.h"
+#include "util/bytes.h"
 #include "serve_test_util.h"
 
 namespace lamo {
 namespace {
 
-// Same FNV-1a 64 the codec uses; lets corruption tests patch a body byte and
-// then re-seal the file so the damage reaches the structural validators
-// behind the checksum gate.
+// The FNV-1a 64 the codec seals with; lets corruption tests patch a body
+// byte and then re-seal the file so the damage reaches the structural
+// validators behind the checksum gate.
 uint64_t Fnv1a64(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return lamo::Fnv1a64(std::string_view(data, n), kFnvLegacyBasis);
 }
 
 // Recomputes and rewrites the trailing checksum over bytes[0, size-8).

@@ -1,0 +1,165 @@
+// The shared binary codec (util/bytes.h): round-trips, and the latching
+// reader's contract — the first failure sticks with its offset, later
+// getters return 0 or empty, counts are checked before anything is
+// allocated, and a read that ends exactly at the last byte succeeds.
+#include "util/bytes.h"
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+namespace lamo {
+namespace {
+
+TEST(ByteCodecTest, RoundTripsScalarsAndStrings) {
+  ByteWriter writer;
+  writer.PutU8(7);
+  writer.PutU32(0xdeadbeef);
+  writer.PutU64(0x0123456789abcdefull);
+  writer.PutDouble(-1.5);
+  writer.PutString("hello\0world");  // embedded NUL truncated by literal: ok
+  writer.PutString("");
+  ByteReader reader(writer.bytes());
+  EXPECT_EQ(reader.GetU8(), 7);
+  EXPECT_EQ(reader.GetU32(), 0xdeadbeefu);
+  EXPECT_EQ(reader.GetU64(), 0x0123456789abcdefull);
+  EXPECT_EQ(reader.GetDouble(), -1.5);
+  EXPECT_EQ(reader.GetString(), "hello");
+  EXPECT_EQ(reader.GetString(), "");
+  EXPECT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(ByteCodecTest, TruncatedReadsFail) {
+  ByteWriter writer;
+  writer.PutU64(1);
+  ByteReader reader(std::string_view(writer.bytes()).substr(0, 3));
+  reader.GetU64();
+  EXPECT_TRUE(reader.status().IsCorruption());
+  // A string whose declared length exceeds the remaining bytes must fail,
+  // not allocate or read out of bounds.
+  ByteWriter evil;
+  evil.PutU64(1ull << 40);
+  ByteReader evil_reader(evil.bytes());
+  EXPECT_EQ(evil_reader.GetString(), "");
+  EXPECT_TRUE(evil_reader.status().IsCorruption());
+}
+
+TEST(ByteCodecTest, VectorsRoundTrip) {
+  const std::vector<uint8_t> u8s = {0, 1, 255};
+  const std::vector<uint32_t> u32s = {7, 0xffffffffu};
+  const std::vector<uint64_t> u64s = {1ull << 63, 3};
+  const std::vector<size_t> sizes = {0, 42};
+  const std::vector<double> doubles = {0.25, -3.0};
+  const std::vector<bool> bools = {true, false, true};
+  ByteWriter writer;
+  writer.PutU8Vec(u8s);
+  writer.PutU32Vec(u32s);
+  writer.PutU64Vec(u64s);
+  writer.PutSizeVec(sizes);
+  writer.PutDoubleVec(doubles);
+  writer.PutBoolVec(bools);
+  // A u8 vector is laid out exactly as a string of the same bytes.
+  ByteWriter as_string;
+  as_string.PutString(std::string("\x00\x01\xff", 3));
+  EXPECT_EQ(writer.bytes().substr(0, as_string.bytes().size()),
+            as_string.bytes());
+  ByteReader reader(writer.bytes());
+  EXPECT_EQ(reader.GetU8Vec("u8"), u8s);
+  EXPECT_EQ(reader.GetU32Vec("u32"), u32s);
+  EXPECT_EQ(reader.GetU64Vec("u64"), u64s);
+  EXPECT_EQ(reader.GetSizeVec("size"), sizes);
+  EXPECT_EQ(reader.GetDoubleVec("double"), doubles);
+  EXPECT_EQ(reader.GetBoolVec("bool"), bools);
+  EXPECT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(ByteReaderTest, FirstFailureLatchesWithItsOffset) {
+  ByteWriter writer;
+  writer.PutU32(5);
+  writer.PutU8(9);  // 5 bytes in all: the u64 below is short
+  writer.PutU64(77);
+  ByteReader reader(std::string_view(writer.bytes()).substr(0, 5));
+  EXPECT_EQ(reader.GetU32(), 5u);
+  EXPECT_EQ(reader.GetU64(), 0u);  // needs 8, only 1 left
+  ASSERT_FALSE(reader.ok());
+  const std::string first = reader.error();
+  EXPECT_EQ(first, "truncated u64 at offset 4");
+  // Everything after the failure is a no-op returning 0 or empty, even reads
+  // that would fit in the bytes left, and the first error is kept.
+  EXPECT_EQ(reader.GetU8(), 0);
+  EXPECT_EQ(reader.GetU32(), 0u);
+  EXPECT_EQ(reader.GetDouble(), 0.0);
+  EXPECT_EQ(reader.GetString(), "");
+  EXPECT_TRUE(reader.GetBytes(1, "byte").empty());
+  EXPECT_EQ(reader.GetCount(1, "thing"), 0u);
+  EXPECT_TRUE(reader.GetU32Vec("ids").empty());
+  reader.Fail("a later problem");
+  EXPECT_EQ(reader.error(), first);
+  EXPECT_EQ(reader.remaining(), 1u);
+  const Status status = reader.status();
+  EXPECT_TRUE(status.IsCorruption());
+  EXPECT_EQ(status.message(), first);
+}
+
+TEST(ByteReaderTest, HugeCountFailsBeforeAllocating) {
+  ByteWriter writer;
+  writer.PutU64(uint64_t{1} << 60);
+  writer.PutU64(0);
+  // Each getter would need 2^60 elements' worth of memory if it trusted the
+  // count; it must fail on the count alone.
+  for (const int kind : {0, 1, 2, 3, 4, 5}) {
+    ByteReader reader(writer.bytes());
+    size_t got = 0;
+    switch (kind) {
+      case 0: got = reader.GetU8Vec("u8").size(); break;
+      case 1: got = reader.GetU32Vec("u32").size(); break;
+      case 2: got = reader.GetU64Vec("u64").size(); break;
+      case 3: got = reader.GetSizeVec("size").size(); break;
+      case 4: got = reader.GetDoubleVec("double").size(); break;
+      default: got = reader.GetBoolVec("bool").size(); break;
+    }
+    EXPECT_EQ(got, 0u) << "kind " << kind;
+    EXPECT_TRUE(reader.status().IsCorruption()) << "kind " << kind;
+    EXPECT_NE(reader.error().find("1152921504606846976"), std::string::npos)
+        << reader.error();
+  }
+}
+
+TEST(ByteReaderTest, ReadsEndingAtTheLastByteSucceed) {
+  ByteWriter writer;
+  writer.PutU32Vec({1, 2, 3});
+  writer.PutString("xyz");
+  writer.PutU8(4);
+  const std::string& bytes = writer.bytes();
+  ByteReader reader(bytes);
+  EXPECT_EQ(reader.GetU32Vec("ids"), (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_EQ(reader.GetString(), "xyz");
+  EXPECT_EQ(reader.remaining(), 1u);
+  EXPECT_EQ(reader.GetU8(), 4);
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  EXPECT_TRUE(reader.AtEnd());
+  // A vector whose elements fill the buffer to its very end.
+  ByteReader exact(std::string_view(bytes).substr(0, 8 + 3 * 4));
+  EXPECT_EQ(exact.GetCount(4, "id"), 3u);
+  EXPECT_EQ(exact.remaining(), 12u);
+  // One byte short of the same vector fails on the count.
+  ByteReader short_by_one(std::string_view(bytes).substr(0, 8 + 3 * 4 - 1));
+  EXPECT_TRUE(short_by_one.GetU32Vec("ids").empty());
+  EXPECT_FALSE(short_by_one.ok());
+}
+
+TEST(Fnv1a64Test, MatchesReferenceValues) {
+  // Reference FNV-1a 64 values: the empty string is the offset basis.
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
+  // Chaining equals hashing the concatenation.
+  EXPECT_EQ(Fnv1a64("bar", Fnv1a64("foo")), Fnv1a64("foobar"));
+  EXPECT_EQ(Fnv1a64("", kFnvLegacyBasis), kFnvLegacyBasis);
+}
+
+}  // namespace
+}  // namespace lamo

@@ -1,6 +1,7 @@
 // Checkpoint container: round-trip property over random payloads, a
 // corruption matrix (every mutation must be rejected with a Status, never
 // accepted or crashed on), and fault-injected atomic writes.
+#include "util/bytes.h"
 #include "util/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -80,50 +81,6 @@ std::string RandomPayload(Rng& rng) {
     }
   }
   return writer.TakeBytes();
-}
-
-TEST(ByteCodecTest, RoundTripsScalarsAndStrings) {
-  ByteWriter writer;
-  writer.PutU8(7);
-  writer.PutU32(0xdeadbeef);
-  writer.PutU64(0x0123456789abcdefull);
-  writer.PutDouble(-1.5);
-  writer.PutString("hello\0world");  // embedded NUL truncated by literal: ok
-  writer.PutString("");
-  ByteReader reader(writer.bytes());
-  uint8_t u8 = 0;
-  uint32_t u32 = 0;
-  uint64_t u64 = 0;
-  double d = 0;
-  std::string s1, s2;
-  ASSERT_TRUE(reader.GetU8(&u8).ok());
-  ASSERT_TRUE(reader.GetU32(&u32).ok());
-  ASSERT_TRUE(reader.GetU64(&u64).ok());
-  ASSERT_TRUE(reader.GetDouble(&d).ok());
-  ASSERT_TRUE(reader.GetString(&s1).ok());
-  ASSERT_TRUE(reader.GetString(&s2).ok());
-  EXPECT_EQ(u8, 7);
-  EXPECT_EQ(u32, 0xdeadbeefu);
-  EXPECT_EQ(u64, 0x0123456789abcdefull);
-  EXPECT_EQ(d, -1.5);
-  EXPECT_EQ(s1, "hello");
-  EXPECT_EQ(s2, "");
-  EXPECT_TRUE(reader.AtEnd());
-}
-
-TEST(ByteCodecTest, TruncatedReadsFail) {
-  ByteWriter writer;
-  writer.PutU64(1);
-  ByteReader reader(std::string_view(writer.bytes()).substr(0, 3));
-  uint64_t v = 0;
-  EXPECT_FALSE(reader.GetU64(&v).ok());
-  // A string whose declared length exceeds the remaining bytes must fail,
-  // not allocate or read out of bounds.
-  ByteWriter evil;
-  evil.PutU64(1ull << 40);
-  ByteReader evil_reader(evil.bytes());
-  std::string s;
-  EXPECT_FALSE(evil_reader.GetString(&s).ok());
 }
 
 TEST(CheckpointTest, RoundTripsRandomPayloads) {

@@ -29,6 +29,7 @@
 
 #include "obs/json.h"
 #include "obs/prometheus.h"
+#include "util/atomic_io.h"
 
 namespace lamo {
 namespace {
@@ -190,24 +191,12 @@ bool FindOwnSample(const std::vector<PromFamily>& families,
   return false;
 }
 
-bool ReadFile(const std::string& path, std::string* text) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof buffer, f)) > 0) {
-    text->append(buffer, n);
-  }
-  std::fclose(f);
-  return true;
-}
-
 /// Cross-checks the exposition against a --report JSON written at shutdown:
 /// scraped counter/histogram-count values must not exceed the final ones.
 int CrossCheckReport(const std::vector<PromFamily>& families,
                      const std::string& report_path) {
   std::string text;
-  if (!ReadFile(report_path, &text)) {
+  if (!ReadFileToString(report_path, &text).ok()) {
     return Fail("cannot open " + report_path);
   }
   JsonValue report;
@@ -255,7 +244,7 @@ int CrossCheckReport(const std::vector<PromFamily>& families,
 
 int Check(const std::string& path, const std::string& report_path) {
   std::string text;
-  if (!ReadFile(path, &text)) return Fail("cannot open " + path);
+  if (!ReadFileToString(path, &text).ok()) return Fail("cannot open " + path);
   // Tolerate a raw wire capture that still carries the `OK <n>` header.
   if (text.rfind("OK ", 0) == 0) {
     const size_t eol = text.find('\n');

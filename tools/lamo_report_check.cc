@@ -18,6 +18,7 @@
 #include <string>
 
 #include "obs/json.h"
+#include "util/atomic_io.h"
 
 namespace lamo {
 namespace {
@@ -118,15 +119,8 @@ int CheckHistogram(const std::string& name, const JsonValue& hist) {
 }
 
 int Check(const std::string& path, int num_required, char** required) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Fail("cannot open " + path);
   std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof buffer, f)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(f);
+  if (!ReadFileToString(path, &text).ok()) return Fail("cannot open " + path);
 
   JsonValue report;
   std::string error;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "util/atomic_io.h"
 
 namespace lamo {
 namespace {
@@ -101,15 +102,8 @@ void PrintTable(const std::string& heading,
 }
 
 int Summarize(const std::string& path, size_t top) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Fail("cannot open " + path);
   std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof buffer, f)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(f);
+  if (!ReadFileToString(path, &text).ok()) return Fail("cannot open " + path);
 
   JsonValue trace;
   std::string error;
