@@ -231,16 +231,9 @@ void BM_OccurrenceSimilarityThreads(benchmark::State& state) {
   SetObsSink(nullptr);
   SetThreadCount(0);
   const JsonValue report = ParsedReport(sink, "bench_so", threads, state);
-  const double hits = ReportCounter(report, "similarity.memo_hits");
-  const double misses = ReportCounter(report, "similarity.memo_misses");
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["so_cells"] =
       benchmark::Counter(ReportCounter(report, "lamofinder.so_cells"),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["memo_hit_rate"] =
-      hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
-  state.counters["lock_contention"] =
-      benchmark::Counter(ReportCounter(report, "similarity.lock_contention"),
                          benchmark::Counter::kAvgIterations);
   state.counters["so_cell_p99_us"] = HistogramP99(sink, "lamofinder.so_cell_us");
 }

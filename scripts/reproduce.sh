@@ -198,18 +198,22 @@ PYEOF
 # shards past k=6 — from concurrent enumeration chunks; obs_tests hammers
 # the metric-window ring with concurrent observers vs METRICS scrapes;
 # predict_tests runs the per-vertex parallel GDS orbit counter, whose
-# relaxed-atomic signature cells TSan must see as race-free).
+# relaxed-atomic signature cells TSan must see as race-free; core_tests and
+# ontology_tests label motifs in parallel over one shared, lock-free
+# TermSimilarity).
 echo "== tsan smoke (parallel runtime + tracer + serve + router + motif" \
-  "+ predict) =="
+  "+ predict + labeling) =="
 cmake -B build-tsan -G Ninja -DLAMO_SANITIZE=thread
 cmake --build build-tsan --target parallel_tests obs_tests serve_tests \
-  router_tests motif_tests predict_tests
+  router_tests motif_tests predict_tests core_tests ontology_tests
 LAMO_THREADS=4 ./build-tsan/tests/parallel_tests
 LAMO_THREADS=4 ./build-tsan/tests/obs_tests
 LAMO_THREADS=4 ./build-tsan/tests/serve_tests
 LAMO_THREADS=4 ./build-tsan/tests/router_tests
 LAMO_THREADS=4 ./build-tsan/tests/motif_tests
 LAMO_THREADS=4 ./build-tsan/tests/predict_tests
+LAMO_THREADS=4 ./build-tsan/tests/core_tests
+LAMO_THREADS=4 ./build-tsan/tests/ontology_tests
 
 # AddressSanitizer smoke run alongside it: the motif + obs tests cover the
 # enumeration hot paths and the metrics layer's thread-local blocks,

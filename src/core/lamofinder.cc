@@ -421,7 +421,7 @@ Status DecodeLabelState(std::string_view payload, size_t* next_motif,
 std::vector<LabeledMotif> LaMoFinder::LabelAll(
     const std::vector<Motif>& motifs, const LaMoFinderConfig& config) const {
   // One task per motif, results concatenated in motif order — identical to
-  // the serial loop. The shared TermSimilarity memo is sharded-lock safe;
+  // the serial loop. The shared TermSimilarity holds no mutable state;
   // everything else LabelMotif touches is per-call. When only one motif is
   // in flight the inner similarity-matrix loop parallelizes instead (the
   // runtime rejects nested fan-out, so the two levels never compete).

@@ -80,8 +80,8 @@ class LaMoFinder {
   OccurrenceList ConformingOccurrences(
       const Motif& motif, const LabelProfile& scheme) const;
 
-  /// The memoizing term-similarity engine (shared with callers that need
-  /// consistent ST values).
+  /// The term-similarity engine (shared with callers that need consistent
+  /// ST values).
   const TermSimilarity& term_similarity() const { return st_; }
 
  private:

@@ -9,17 +9,6 @@
 namespace lamo {
 namespace {
 
-struct VertexSetHash {
-  size_t operator()(const std::vector<VertexId>& vs) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (VertexId v : vs) {
-      h ^= v;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
 // Matching order over the underlying connectivity, most-constrained first.
 std::vector<uint32_t> MatchOrder(const SmallDigraph& pattern) {
   const size_t k = pattern.num_vertices();

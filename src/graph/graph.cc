@@ -1,10 +1,18 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <string_view>
 
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace lamo {
+
+size_t VertexSetHash::operator()(const std::vector<VertexId>& vs) const {
+  return static_cast<size_t>(
+      Fnv1a64(std::string_view(reinterpret_cast<const char*>(vs.data()),
+                               vs.size() * sizeof(VertexId))));
+}
 
 bool Graph::HasEdge(VertexId a, VertexId b) const {
   if (a >= num_vertices() || b >= num_vertices()) return false;

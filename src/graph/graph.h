@@ -17,6 +17,12 @@ using VertexId = uint32_t;
 /// Sentinel for "no vertex".
 inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
 
+/// Hash of a vertex-id list (FNV-1a 64 over the ids' bytes), for in-memory
+/// sets of sorted occurrence vertex sets. Never persisted.
+struct VertexSetHash {
+  size_t operator()(const std::vector<VertexId>& vs) const;
+};
+
 /// An immutable, simple, undirected graph in CSR (compressed sparse row)
 /// form with sorted neighbor lists. This is the representation used for the
 /// interactome: the PPI networks in the paper have thousands of vertices and

@@ -9,19 +9,6 @@
 namespace lamo {
 namespace {
 
-// FNV-1a over the bytes of a sorted vertex set; used to deduplicate
-// occurrences.
-struct VertexSetHash {
-  size_t operator()(const std::vector<VertexId>& vs) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (VertexId v : vs) {
-      h ^= v;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
 // Static matching order: start at the max-degree pattern vertex, then grow by
 // connectivity, preferring vertices with the most already-ordered neighbors
 // (most constrained first).

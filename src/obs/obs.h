@@ -35,7 +35,7 @@ namespace lamo {
 /// Counter naming convention (enforced by review, documented in DESIGN.md
 /// §6): `<component>.<metric>` in lower snake case, cumulative totals, with
 /// `_us` / `_ms` suffixes for duration sums, e.g. `esu.subgraphs`,
-/// `similarity.memo_hits`, `pool.queue_wait_us`.
+/// `lamofinder.so_cells`, `pool.queue_wait_us`.
 
 /// Hard cap on distinct counters; registration past the cap is a fatal
 /// error. A fixed capacity keeps per-thread cell blocks allocation-stable so

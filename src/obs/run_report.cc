@@ -24,21 +24,6 @@ void WritePhase(JsonWriter* json, const PhaseNode& phase) {
   json->EndObject();
 }
 
-/// Gauges reported = explicitly set gauges + rates derivable from counters.
-std::map<std::string, double> DerivedGauges(
-    const ObsSink& sink, const std::map<std::string, uint64_t>& counters) {
-  std::map<std::string, double> gauges = sink.Gauges();
-  const auto hits = counters.find("similarity.memo_hits");
-  const auto misses = counters.find("similarity.memo_misses");
-  if (hits != counters.end() && misses != counters.end() &&
-      hits->second + misses->second > 0) {
-    gauges["similarity.memo_hit_rate"] =
-        static_cast<double>(hits->second) /
-        static_cast<double>(hits->second + misses->second);
-  }
-  return gauges;
-}
-
 /// Prints `phase` annotated with its share of `parent_ms` (the enclosing
 /// phase's wall time; top-level phases are shown against the sink's total).
 void PrintPhase(std::FILE* out, const PhaseNode& phase, int depth,
@@ -125,7 +110,7 @@ std::string RunReportJson(
 
   json.Key("gauges");
   json.BeginObject();
-  for (const auto& [name, value] : DerivedGauges(sink, counters)) {
+  for (const auto& [name, value] : sink.Gauges()) {
     json.Key(name);
     json.Double(value);
   }
@@ -193,7 +178,7 @@ void PrintRunSummary(const ObsSink& sink, const std::string& command,
     if (value == 0) continue;
     std::fprintf(out, "  %-28s %12" PRIu64 "\n", name.c_str(), value);
   }
-  for (const auto& [name, value] : DerivedGauges(sink, counters)) {
+  for (const auto& [name, value] : sink.Gauges()) {
     std::fprintf(out, "  %-28s %12.4f\n", name.c_str(), value);
   }
   bool histogram_header = false;

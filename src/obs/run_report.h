@@ -21,7 +21,7 @@ namespace lamo {
 ///     "annotations": {"predictor": "gds", ...},   // command metadata
 ///     "phases":   [{"name": ..., "wall_ms": ..., "children": [...]}],
 ///     "counters": {"esu.subgraphs": 123456, ...},   // merged totals
-///     "gauges":   {"similarity.memo_hit_rate": 0.97, ...},
+///     "gauges":   {"process.peak_rss_kb": 25436, ...},
 ///     "histograms": {"esu.chunk_us": {"count": ..., "sum": ..., "min": ...,
 ///                    "max": ..., "p50": ..., "p90": ..., "p99": ...,
 ///                    "buckets": [{"lo": ..., "hi": ..., "count": ...}]}},
@@ -32,10 +32,11 @@ namespace lamo {
 /// histogram in "histograms" (zeros/empties included) so the key set is
 /// stable across workloads. "tasks" is the worker's `parallel.chunks`
 /// value — the number of loop chunks it executed.
-/// `similarity.memo_hit_rate` is derived from the memo counters when they
-/// are nonzero. Histogram "buckets" lists the nonzero log2 buckets with
-/// inclusive [lo, hi] value bounds; counts sum to "count" and percentiles
-/// lie within [min, max] (invariants enforced by tools/lamo_report_check).
+/// "gauges" holds the sink's explicitly set gauges plus
+/// `process.peak_rss_kb`. Histogram "buckets" lists the nonzero log2
+/// buckets with inclusive [lo, hi] value bounds; counts sum to "count" and
+/// percentiles lie within [min, max] (invariants enforced by
+/// tools/lamo_report_check).
 /// "annotations" carries string facts about the run the counters cannot
 /// express — e.g. which predictor backend `lamo predict` ran (required by
 /// lamo_report_check for predict reports); always present, possibly empty.

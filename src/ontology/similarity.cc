@@ -1,34 +1,6 @@
 #include "ontology/similarity.h"
 
-#include <algorithm>
-#include <chrono>
-
-#include "obs/obs.h"
-
 namespace lamo {
-namespace {
-
-const size_t kObsMemoHits = ObsCounterId("similarity.memo_hits");
-const size_t kObsMemoMisses = ObsCounterId("similarity.memo_misses");
-/// Latency of the uncached LCA+IC computation (memo-miss path only; hits
-/// are a map probe and would drown the histogram in zeros).
-const size_t kHistComputeUs = ObsHistogramId("similarity.compute_us");
-/// Times a shard mutex was found held by another thread (try_lock failed).
-/// A contention *sample*, not a wait-time measure: it says how often the 16
-/// shards actually collide at the current thread count.
-const size_t kObsLockContention = ObsCounterId("similarity.lock_contention");
-
-/// Locks `mu`, counting a contention sample if it was already held.
-std::unique_lock<std::mutex> LockShard(std::mutex& mu) {
-  std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    ObsIncrement(kObsLockContention);
-    lock.lock();
-  }
-  return lock;
-}
-
-}  // namespace
 
 TermId TermSimilarity::LowestCommonParent(TermId ta, TermId tb) const {
   const auto anc_a = ontology_.AncestorsOf(ta);
@@ -58,50 +30,6 @@ TermId TermSimilarity::LowestCommonParent(TermId ta, TermId tb) const {
 
 double TermSimilarity::Similarity(TermId ta, TermId tb) const {
   if (ta == tb) return 1.0;
-  const uint64_t key = ta < tb
-                           ? (static_cast<uint64_t>(ta) << 32) | tb
-                           : (static_cast<uint64_t>(tb) << 32) | ta;
-  // Mix the low bits so consecutive term ids spread across shards.
-  CacheShard& shard =
-      cache_shards_[(key ^ (key >> 32)) * 0x9E3779B97F4A7C15ULL >> 60];
-  {
-    const std::unique_lock<std::mutex> lock = LockShard(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      ObsIncrement(kObsMemoHits);
-      return it->second;
-    }
-  }
-  ObsIncrement(kObsMemoMisses);
-  // Computed outside the lock: ComputeSimilarity is pure, so a pair raced by
-  // two threads just produces the same value twice.
-  double sim;
-  if (ObsEnabled()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    sim = ComputeSimilarity(ta, tb);
-    ObsObserve(kHistComputeUs,
-               static_cast<uint64_t>(
-                   std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count()));
-  } else {
-    sim = ComputeSimilarity(ta, tb);
-  }
-  const std::unique_lock<std::mutex> lock = LockShard(shard.mu);
-  shard.map.emplace(key, sim);
-  return sim;
-}
-
-size_t TermSimilarity::cache_size() const {
-  size_t total = 0;
-  for (const CacheShard& shard : cache_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
-}
-
-double TermSimilarity::ComputeSimilarity(TermId ta, TermId tb) const {
   const TermId tab = LowestCommonParent(ta, tb);
   if (tab == kInvalidTerm) return 0.0;  // different branches: unrelated
   const double log_ab = weights_.LogWeight(tab);

@@ -1,11 +1,6 @@
 #ifndef LAMO_ONTOLOGY_SIMILARITY_H_
 #define LAMO_ONTOLOGY_SIMILARITY_H_
 
-#include <array>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
-
 #include "ontology/ontology.h"
 #include "ontology/weights.h"
 
@@ -20,11 +15,9 @@ namespace lamo {
 /// [0, 1]; equals 1 for identical informative terms, 0 when the only shared
 /// context is the root.
 ///
-/// Pairwise results are memoized: occurrence-similarity computations reuse
-/// the same term pairs heavily. The memo is sharded by key hash, each shard
-/// behind its own mutex, so Similarity() is safe to call concurrently from
-/// the parallel runtime; a pair raced by two threads is at worst computed
-/// twice with the same (pure) result.
+/// Each call computes Eq. 1 directly: a merge of two sorted ancestor spans
+/// and three weight lookups, well under a microsecond. The object holds no
+/// mutable state, so Similarity() is safe to call concurrently.
 class TermSimilarity {
  public:
   /// Both references must outlive this object.
@@ -39,30 +32,15 @@ class TermSimilarity {
   /// ancestor (distinct roots).
   TermId LowestCommonParent(TermId ta, TermId tb) const;
 
-  /// ST(ta, tb) per Eq. 1, memoized. Thread-safe.
+  /// ST(ta, tb) per Eq. 1. Thread-safe.
   double Similarity(TermId ta, TermId tb) const;
-
-  /// Number of memoized pairs (diagnostics). Thread-safe.
-  size_t cache_size() const;
 
   const Ontology& ontology() const { return ontology_; }
   const TermWeights& weights() const { return weights_; }
 
  private:
-  // Shard count: enough to make contention negligible at typical thread
-  // counts while keeping the per-instance footprint trivial.
-  static constexpr size_t kCacheShards = 16;
-
-  struct CacheShard {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, double> map;  // guarded by mu
-  };
-
-  double ComputeSimilarity(TermId ta, TermId tb) const;
-
   const Ontology& ontology_;
   const TermWeights& weights_;
-  mutable std::array<CacheShard, kCacheShards> cache_shards_;
 };
 
 }  // namespace lamo

@@ -147,7 +147,7 @@ TEST(ParallelReduceTest, EmptyRangeReturnsIdentity) {
   EXPECT_EQ(result, 42);
 }
 
-TEST(TermSimilarityConcurrencyTest, SharedMemoIsSafeAndConsistent) {
+TEST(TermSimilarityConcurrencyTest, SharedEngineIsSafeAndConsistent) {
   // A small ontology: root -> a, b; a -> a1; b -> b1; s with parents a, b.
   OntologyBuilder builder;
   const TermId root = builder.AddTerm("root");
@@ -176,7 +176,7 @@ TEST(TermSimilarityConcurrencyTest, SharedMemoIsSafeAndConsistent) {
   const TermWeights weights = TermWeights::Compute(onto, annotations);
   const TermSimilarity st(onto, weights);
 
-  // Reference values computed on a cold cache, serially.
+  // Reference values, computed serially.
   const size_t num_terms = onto.num_terms();
   std::vector<double> expected(num_terms * num_terms);
   for (TermId x = 0; x < num_terms; ++x) {
@@ -188,8 +188,8 @@ TEST(TermSimilarityConcurrencyTest, SharedMemoIsSafeAndConsistent) {
   ScopedThreadCount guard(4);
   const TermSimilarity concurrent(onto, weights);
   std::atomic<int> mismatches{0};
-  // Every pair queried many times from competing tasks: races on the memo
-  // shards must neither crash nor change any value.
+  // Every pair queried many times from competing tasks: one shared engine
+  // must give every task the serial value.
   ParallelFor(0, 64, 1, [&](size_t round) {
     for (TermId x = 0; x < num_terms; ++x) {
       for (TermId y = 0; y < num_terms; ++y) {
@@ -203,7 +203,6 @@ TEST(TermSimilarityConcurrencyTest, SharedMemoIsSafeAndConsistent) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GT(concurrent.cache_size(), 0u);
 }
 
 }  // namespace

@@ -32,9 +32,21 @@ grep -q "lamo mine run stats" "$WORK/mine.stats.txt" || {
 "$LAMO" label --graph "$WORK/ds.graph.txt" --obo "$WORK/ds.obo" \
   --annotations "$WORK/ds.annotations.tsv" --motifs "$WORK/motifs.txt" \
   --sigma 5 --report "$WORK/label.json" --out "$WORK/labeled.txt" > /dev/null
-"$CHECK" "$WORK/label.json" lamofinder.so_cells similarity.memo_misses \
-  hist:lamofinder.so_cell_us hist:similarity.compute_us \
+"$CHECK" "$WORK/label.json" lamofinder.so_cells lamofinder.cluster_merges \
+  hist:lamofinder.so_cell_us hist:lamofinder.cluster_merge_us \
   gauge:process.peak_rss_kb
+
+# Only schema version 2 is accepted: a report claiming version 1 fails.
+sed 's/"lamo_report_version":[0-9]*/"lamo_report_version":1/' \
+  "$WORK/label.json" > "$WORK/v1.json"
+grep -q '"lamo_report_version":1' "$WORK/v1.json" || {
+  echo "FAIL: could not rewrite the report version" >&2
+  exit 1
+}
+if "$CHECK" "$WORK/v1.json" > /dev/null 2>&1; then
+  echo "FAIL: lamo_report_check accepted lamo_report_version 1" >&2
+  exit 1
+fi
 
 "$LAMO" predict --graph "$WORK/ds.graph.txt" --obo "$WORK/ds.obo" \
   --annotations "$WORK/ds.annotations.tsv" --labeled "$WORK/labeled.txt" \

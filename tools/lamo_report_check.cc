@@ -9,9 +9,7 @@
 //   lamo mine --graph g.txt --report r.json
 //   lamo_report_check r.json esu.subgraphs gauge:process.peak_rss_kb
 //
-// Schema v2 adds the "histograms" object and the trace.dropped counter; v1
-// reports (no histograms) are still accepted with a warning so archived
-// reports keep checking out.
+// Only schema version 2 is accepted; any other lamo_report_version fails.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -131,15 +129,8 @@ int Check(const std::string& path, int num_required, char** required) {
   const JsonValue* version = RequireMember(
       report, "lamo_report_version", JsonValue::Type::kNumber, &rc);
   if (version == nullptr) return rc;
-  const bool v2 = version->number_value == 2.0;
-  if (!v2 && version->number_value != 1.0) {
+  if (version->number_value != 2.0) {
     return Fail("unsupported lamo_report_version");
-  }
-  if (!v2) {
-    std::fprintf(stderr,
-                 "warning: %s is a legacy v1 report (no histograms); "
-                 "re-run with a current lamo build for schema v2\n",
-                 path.c_str());
   }
   RequireMember(report, "command", JsonValue::Type::kString, &rc);
   RequireMember(report, "threads", JsonValue::Type::kNumber, &rc);
@@ -151,8 +142,7 @@ int Check(const std::string& path, int num_required, char** required) {
   const JsonValue* gauges =
       RequireMember(report, "gauges", JsonValue::Type::kObject, &rc);
   const JsonValue* histograms =
-      v2 ? RequireMember(report, "histograms", JsonValue::Type::kObject, &rc)
-         : nullptr;
+      RequireMember(report, "histograms", JsonValue::Type::kObject, &rc);
   const JsonValue* workers =
       RequireMember(report, "workers", JsonValue::Type::kArray, &rc);
   if (rc != 0) return rc;
@@ -180,19 +170,17 @@ int Check(const std::string& path, int num_required, char** required) {
                                 static_cast<uint64_t>(rss->number_value)))) {
     return Fail("gauge \"process.peak_rss_kb\" is not a positive kB count");
   }
-  if (v2) {
-    // Schema v2 ships trace-loss accounting in every report, traced or not.
-    const JsonValue* dropped = counters->Find("trace.dropped");
-    if (dropped == nullptr || !dropped->is_number()) {
-      return Fail("v2 report lacks the \"trace.dropped\" counter");
+  // Every report ships trace-loss accounting, traced or not.
+  const JsonValue* dropped = counters->Find("trace.dropped");
+  if (dropped == nullptr || !dropped->is_number()) {
+    return Fail("report lacks the \"trace.dropped\" counter");
+  }
+  for (const auto& [name, hist] : histograms->members) {
+    if (!hist.is_object()) {
+      return Fail("histogram \"" + name + "\" not an object");
     }
-    for (const auto& [name, hist] : histograms->members) {
-      if (!hist.is_object()) {
-        return Fail("histogram \"" + name + "\" not an object");
-      }
-      const int hist_rc = CheckHistogram(name, hist);
-      if (hist_rc != 0) return hist_rc;
-    }
+    const int hist_rc = CheckHistogram(name, hist);
+    if (hist_rc != 0) return hist_rc;
   }
   const auto counter_value = [&](const char* name) {
     const JsonValue* value = counters->Find(name);
@@ -218,16 +206,13 @@ int Check(const std::string& path, int num_required, char** required) {
     if (counter_value("serve.access_logged") > requests) {
       return Fail("serve.access_logged exceeds serve.requests");
     }
-    if (v2) {
-      const JsonValue* hist = histograms->Find("serve.request_us");
-      const JsonValue* count =
-          hist == nullptr ? nullptr : hist->Find("count");
-      if (count == nullptr || !count->is_number() ||
-          count->number_value != requests) {
-        return Fail(
-            "histogram \"serve.request_us\" count does not match "
-            "serve.requests");
-      }
+    const JsonValue* hist = histograms->Find("serve.request_us");
+    const JsonValue* count = hist == nullptr ? nullptr : hist->Find("count");
+    if (count == nullptr || !count->is_number() ||
+        count->number_value != requests) {
+      return Fail(
+          "histogram \"serve.request_us\" count does not match "
+          "serve.requests");
     }
   }
   // Router reports: the front-end only counts a backend request at the
@@ -260,16 +245,13 @@ int Check(const std::string& path, int num_required, char** required) {
           "router.ids_issued does not match router.backend_requests + "
           "router.errors");
     }
-    if (v2) {
-      const JsonValue* hist = histograms->Find("router.request_us");
-      const JsonValue* count =
-          hist == nullptr ? nullptr : hist->Find("count");
-      if (count == nullptr || !count->is_number() ||
-          count->number_value != requests) {
-        return Fail(
-            "histogram \"router.request_us\" count does not match "
-            "router.requests");
-      }
+    const JsonValue* hist = histograms->Find("router.request_us");
+    const JsonValue* count = hist == nullptr ? nullptr : hist->Find("count");
+    if (count == nullptr || !count->is_number() ||
+        count->number_value != requests) {
+      return Fail(
+          "histogram \"router.request_us\" count does not match "
+          "router.requests");
     }
   }
   // Predict reports must say which backend answered (the registry key in
@@ -365,7 +347,6 @@ int Check(const std::string& path, int num_required, char** required) {
   for (int i = 0; i < num_required; ++i) {
     if (std::strncmp(required[i], "hist:", 5) == 0) {
       const char* name = required[i] + 5;
-      if (!v2) continue;  // v1 reports predate histograms
       const JsonValue* hist = histograms->Find(name);
       const JsonValue* count =
           hist == nullptr ? nullptr : hist->Find("count");
