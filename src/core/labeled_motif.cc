@@ -14,6 +14,30 @@ std::string LabeledMotif::SchemeToString(const Ontology& ontology) const {
   return out;
 }
 
+MotifSiteIndex BuildSiteIndex(const std::vector<LabeledMotif>& motifs,
+                              size_t num_vertices) {
+  MotifSiteIndex index(num_vertices);
+  for (uint32_t mi = 0; mi < motifs.size(); ++mi) {
+    for (const std::span<const VertexId> occ : motifs[mi].occurrences) {
+      for (uint32_t pos = 0; pos < occ.size(); ++pos) {
+        std::vector<MotifSite>& row = index[occ[pos]];
+        // Motifs are visited in order, so a duplicate of (mi, pos) can only
+        // sit in the row's tail of motif-mi sites.
+        bool seen = false;
+        for (auto it = row.rbegin(); it != row.rend() && it->motif == mi;
+             ++it) {
+          if (it->vertex == pos) {
+            seen = true;
+            break;
+          }
+        }
+        if (!seen) row.push_back(MotifSite{mi, pos});
+      }
+    }
+  }
+  return index;
+}
+
 void ComputeMotifStrengths(std::vector<LabeledMotif>* motifs) {
   std::map<size_t, double> max_per_size;
   for (const LabeledMotif& m : *motifs) {

@@ -42,6 +42,26 @@ struct LabeledMotif {
   std::string SchemeToString(const Ontology& ontology) const;
 };
 
+/// One labeled-motif site a protein plays: `motifs[motif]`'s canonical
+/// vertex `vertex`. LG_p of Eq. 5 is the list of p's sites.
+struct MotifSite {
+  uint32_t motif = 0;
+  uint32_t vertex = 0;
+
+  friend bool operator==(const MotifSite&, const MotifSite&) = default;
+};
+
+/// Per-protein site lists, indexed by protein id.
+using MotifSiteIndex = std::vector<std::vector<MotifSite>>;
+
+/// The one site-index builder (pack, live updates and the lms predictor all
+/// use it): index[p] lists the sites p plays across every occurrence of
+/// every motif, deduplicated, in first-seen order — motifs in order, then
+/// occurrences, then positions. Every occurrence id must be below
+/// `num_vertices`.
+MotifSiteIndex BuildSiteIndex(const std::vector<LabeledMotif>& motifs,
+                              size_t num_vertices);
+
 /// Fills in LMS (Eq. 4) for every labeled motif:
 ///
 ///   LMS(g) = s(g) * |g| / max_k

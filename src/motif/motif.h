@@ -54,6 +54,12 @@ class OccurrenceList {
 
   OccurrenceList() = default;
   explicit OccurrenceList(size_t k) : k_(k) {}
+  /// Takes `ids` as its flat storage: ids.size() / k occurrences of k ids.
+  OccurrenceList(size_t k, std::vector<VertexId> ids)
+      : k_(k), ids_(std::move(ids)) {
+    LAMO_CHECK(k_ == 0 ? ids_.empty() : ids_.size() % k_ == 0)
+        << " " << ids_.size() << " ids do not split into k=" << k_;
+  }
 
   /// Vertices per occurrence (the pattern size).
   size_t k() const { return k_; }

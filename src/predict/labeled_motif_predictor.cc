@@ -16,38 +16,43 @@ const size_t kObsVotes = ObsCounterId("predict.votes");
 const size_t kHistScoreUs = ObsHistogramId("predict.score_us");
 const size_t kSpanScore = ObsSpanId("predict.score");
 
+std::vector<double> CategoryPriors(const PredictionContext& context) {
+  std::vector<double> priors;
+  priors.reserve(context.categories.size());
+  for (TermId c : context.categories) {
+    priors.push_back(context.CategoryPrior(c));
+  }
+  return priors;
+}
+
 }  // namespace
 
 LabeledMotifPredictor::LabeledMotifPredictor(
     const PredictionContext& context, const Ontology& ontology,
     const std::vector<LabeledMotif>& motifs, DeltaMode mode)
-    : context_(context), ontology_(ontology), motifs_(motifs), mode_(mode) {
-  priors_.reserve(context_.categories.size());
-  for (TermId c : context_.categories) {
-    priors_.push_back(context_.CategoryPrior(c));
-  }
-  index_.resize(context_.ppi->num_vertices());
-  for (uint32_t mi = 0; mi < motifs_.size(); ++mi) {
-    const LabeledMotif& motif = motifs_[mi];
-    for (const std::span<const VertexId> occ : motif.occurrences) {
-      for (uint32_t pos = 0; pos < occ.size(); ++pos) {
-        const VertexId p = occ[pos];
-        auto& sites = index_[p];
-        const Site site{mi, pos};
-        const bool seen =
-            std::any_of(sites.begin(), sites.end(), [&](const Site& s) {
-              return s.motif == site.motif && s.vertex == site.vertex;
-            });
-        if (!seen) sites.push_back(site);
-      }
-    }
-  }
-}
+    : context_(context),
+      ontology_(ontology),
+      motifs_(motifs),
+      mode_(mode),
+      owned_sites_(BuildSiteIndex(motifs, context.ppi->num_vertices())),
+      sites_(&owned_sites_),
+      priors_(CategoryPriors(context)) {}
+
+LabeledMotifPredictor::LabeledMotifPredictor(
+    const PredictionContext& context, const Ontology& ontology,
+    const std::vector<LabeledMotif>& motifs, const MotifSiteIndex& sites,
+    DeltaMode mode)
+    : context_(context),
+      ontology_(ontology),
+      motifs_(motifs),
+      mode_(mode),
+      sites_(&sites),
+      priors_(CategoryPriors(context)) {}
 
 std::vector<Prediction> LabeledMotifPredictor::Predict(ProteinId p) const {
   const ScopedItemTimer timer(kSpanScore, kHistScoreUs, p, 0, 1);
   std::vector<double> scores(context_.categories.size(), 0.0);
-  for (const Site& site : index_[p]) {
+  for (const MotifSite& site : (*sites_)[p]) {
     ObsIncrement(kObsVotes);
     const LabeledMotif& motif = motifs_[site.motif];
     std::vector<double> delta(context_.categories.size(), 0.0);
@@ -89,7 +94,7 @@ std::vector<Prediction> LabeledMotifPredictor::Predict(ProteinId p) const {
 double LabeledMotifPredictor::CoverageOfAnnotated() const {
   size_t annotated = 0;
   size_t covered = 0;
-  for (ProteinId p = 0; p < index_.size(); ++p) {
+  for (ProteinId p = 0; p < sites_->size(); ++p) {
     if (!context_.IsAnnotated(p)) continue;
     ++annotated;
     if (Covers(p)) ++covered;

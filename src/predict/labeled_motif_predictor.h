@@ -40,36 +40,45 @@ class LabeledMotifPredictor : public FunctionPredictor {
     kOccurrenceProteins,
   };
 
-  /// Builds the per-protein motif-vertex index. All references must outlive
-  /// the predictor. Motifs must already carry their LMS strengths
-  /// (ComputeMotifStrengths). `ontology` is the branch the schemes were
-  /// labeled in (used to generalize scheme labels to categories).
+  /// Builds and owns the per-protein site index (BuildSiteIndex). All
+  /// references must outlive the predictor. Motifs must already carry their
+  /// LMS strengths (ComputeMotifStrengths). `ontology` is the branch the
+  /// schemes were labeled in (used to generalize scheme labels to
+  /// categories).
   LabeledMotifPredictor(const PredictionContext& context,
                         const Ontology& ontology,
                         const std::vector<LabeledMotif>& motifs,
                         DeltaMode mode = DeltaMode::kSchemeLabels);
+  /// Borrows `sites`, which must be BuildSiteIndex(motifs, n) or its owned
+  /// rows (a snapshot's index), must hold one row per protein and must
+  /// outlive the predictor.
+  LabeledMotifPredictor(const PredictionContext& context,
+                        const Ontology& ontology,
+                        const std::vector<LabeledMotif>& motifs,
+                        const MotifSiteIndex& sites,
+                        DeltaMode mode = DeltaMode::kSchemeLabels);
+
+  // sites_ may point into owned_sites_.
+  LabeledMotifPredictor(const LabeledMotifPredictor&) = delete;
+  LabeledMotifPredictor& operator=(const LabeledMotifPredictor&) = delete;
 
   std::string name() const override { return "LabeledMotif"; }
   std::vector<Prediction> Predict(ProteinId p) const override;
 
   /// True iff p occurs in at least one labeled motif (the method has
   /// signal for p).
-  bool Covers(ProteinId p) const override { return !index_[p].empty(); }
+  bool Covers(ProteinId p) const override { return !(*sites_)[p].empty(); }
 
   /// Fraction of annotated proteins covered by at least one labeled motif.
   double CoverageOfAnnotated() const;
 
  private:
-  struct Site {
-    uint32_t motif = 0;   // index into motifs_
-    uint32_t vertex = 0;  // motif vertex position at which p appears
-  };
-
   const PredictionContext& context_;
   const Ontology& ontology_;
   const std::vector<LabeledMotif>& motifs_;
   DeltaMode mode_;
-  std::vector<std::vector<Site>> index_;  // per protein, deduplicated sites
+  MotifSiteIndex owned_sites_;   // empty when the index is borrowed
+  const MotifSiteIndex* sites_;  // per protein, deduplicated sites
   std::vector<double> priors_;  // per category: tie-break for unvoted ones
 };
 

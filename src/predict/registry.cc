@@ -16,6 +16,14 @@ StatusOr<std::unique_ptr<FunctionPredictor>> MakeLms(
     return Status::InvalidArgument(
         "predictor 'lms' needs labeled motifs and their ontology");
   }
+  if (inputs.sites != nullptr) {
+    if (inputs.sites->size() != inputs.context->ppi->num_vertices()) {
+      return Status::InvalidArgument(
+          "motif site index does not have one row per protein");
+    }
+    return std::unique_ptr<FunctionPredictor>(new LabeledMotifPredictor(
+        *inputs.context, *inputs.ontology, *inputs.motifs, *inputs.sites));
+  }
   return std::unique_ptr<FunctionPredictor>(new LabeledMotifPredictor(
       *inputs.context, *inputs.ontology, *inputs.motifs));
 }

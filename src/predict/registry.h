@@ -15,13 +15,15 @@ namespace lamo {
 
 /// Everything a backend factory may draw on. `context` is always required
 /// and must outlive the predictor. The labeled-motif fields are required by
-/// `lms`; the precomputed matrices are optional fast paths (populated from
-/// a v3 snapshot) — when absent, `gds`/`role` recompute from context->ppi,
-/// which is deterministic, so both paths yield byte-identical predictions.
+/// `lms`; the site index and the precomputed matrices are optional fast
+/// paths (populated from a snapshot) — when absent, `lms` builds its index
+/// with BuildSiteIndex and `gds`/`role` recompute from context->ppi, all
+/// deterministic, so both paths yield byte-identical predictions.
 struct PredictorInputs {
   const PredictionContext* context = nullptr;
   const Ontology* ontology = nullptr;                     // lms
   const std::vector<LabeledMotif>* motifs = nullptr;      // lms
+  const MotifSiteIndex* sites = nullptr;  // lms, optional: borrowed, not built
   const std::vector<uint64_t>* gds_signatures = nullptr;  // n x kGdsOrbits
   const std::vector<double>* role_vectors = nullptr;      // n x role_dim
   size_t role_dim = 0;

@@ -120,6 +120,7 @@ Status SnapshotService::UsePredictor(const std::string& name) {
   inputs.context = &context_;
   inputs.ontology = &snapshot_.ontology;
   inputs.motifs = &snapshot_.motifs;
+  inputs.sites = &snapshot_.sites;
   inputs.gds_signatures = &snapshot_.gds_signatures;
   inputs.role_vectors = &snapshot_.role_vectors;
   inputs.role_dim = snapshot_.role_dim;
@@ -263,8 +264,8 @@ StatusOr<std::vector<std::string>> SnapshotService::ApplyEdge(
   UpdateResult result;
   status = engine_->Apply(add, u, v, &result);
   if (!status.ok()) return status;
-  // The predictor indexes the pre-update motif state (lms copies the site
-  // index at construction); rebuild it from the patched snapshot.
+  // Rebuild the predictor over the patched snapshot: lms reads the patched
+  // site index in place, but the other backends copy their inputs.
   status = UsePredictor(predictor_name_);
   if (!status.ok()) return status;
   const size_t evicted = InvalidateCache(result);

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <thread>
 
+#include "parallel/parallel_for.h"
 #include "predict/gds.h"
 #include "predict/role_similarity.h"
 #include "util/atomic_io.h"
@@ -186,20 +189,7 @@ Snapshot BuildSnapshot(Graph graph, Ontology ontology,
   snap.informative = InformativeClasses::Compute(
       snap.ontology, snap.annotations, informative_config);
 
-  // Per-protein site index: identical construction (and therefore identical
-  // first-seen order) to LabeledMotifPredictor's.
-  snap.sites.resize(snap.graph.num_vertices());
-  for (uint32_t mi = 0; mi < snap.motifs.size(); ++mi) {
-    for (const std::span<const VertexId> occ : snap.motifs[mi].occurrences) {
-      for (uint32_t pos = 0; pos < occ.size(); ++pos) {
-        auto& sites = snap.sites[occ[pos]];
-        const SnapshotSite site{mi, pos};
-        if (std::find(sites.begin(), sites.end(), site) == sites.end()) {
-          sites.push_back(site);
-        }
-      }
-    }
-  }
+  snap.sites = BuildSiteIndex(snap.motifs, snap.graph.num_vertices());
 
   // Predictor section: the non-default backends' precomputed inputs. Both
   // computations are deterministic, so serving from these matrices answers
@@ -241,8 +231,8 @@ Snapshot MakeShard(const Snapshot& full, uint32_t shard_id,
   shard.num_shards = num_shards;
   shard.shard_id = shard_id;
   if (num_shards <= 1) return shard;
-  // Keep exactly the occurrences that involve an owned protein: the
-  // predictor index a backend rebuilds from them lists, for every owned
+  // Keep exactly the occurrences that involve an owned protein: a site index
+  // rebuilt from them (as a live update does) lists, for every owned
   // protein, the same (motif, vertex) sites in the same first-seen order as
   // the full snapshot, so served answers cannot drift. Stored frequency,
   // uniqueness and strength are untouched — they describe the whole
@@ -333,7 +323,7 @@ std::string EncodeSnapshot(const Snapshot& snap) {
     w.PutU8Vec(m.code);
     for (size_t v = 0; v < n; ++v) w.PutU32Vec(m.scheme[v]);
     w.PutU64(m.occurrences.size());
-    for (const VertexId p : m.occurrences.ids()) w.PutU32(p);
+    w.PutU32Array(m.occurrences.ids());
     w.PutU64(m.frequency);
     w.PutDouble(m.uniqueness);
     w.PutDouble(m.strength);
@@ -365,30 +355,12 @@ std::string EncodeSnapshot(const Snapshot& snap) {
   return w.TakeBytes();
 }
 
-StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
-  constexpr size_t kHeaderBytes = sizeof kSnapshotMagic + 4;
-  if (bytes.size() < kHeaderBytes + 8) {
-    return Status::Corruption("snapshot too short (" +
-                              std::to_string(bytes.size()) + " bytes)");
-  }
-  if (std::memcmp(bytes.data(), kSnapshotMagic, sizeof kSnapshotMagic) != 0) {
-    return Status::Corruption("bad snapshot magic (not a .lamosnap file)");
-  }
-  const std::string_view body =
-      std::string_view(bytes).substr(0, bytes.size() - 8);
-  const uint64_t stored =
-      ByteReader(std::string_view(bytes).substr(body.size())).GetU64();
-  const uint64_t actual = Fnv1a64(body, kFnvLegacyBasis);
-  if (stored != actual) {
-    char msg[96];
-    std::snprintf(msg, sizeof msg,
-                  "snapshot checksum mismatch (stored %016llx, computed "
-                  "%016llx)",
-                  static_cast<unsigned long long>(stored),
-                  static_cast<unsigned long long>(actual));
-    return Status::Corruption(msg);
-  }
+namespace {
 
+// The field decode behind the checksum: version, then every section in
+// file order, each count and id checked against the bytes left and its
+// range. Safe on any input, checksummed or not.
+StatusOr<Snapshot> DecodeBody(std::string_view body) {
   ByteReader in(body);
   in.GetBytes(sizeof kSnapshotMagic, "magic");  // already validated
   const uint32_t version = in.GetU32();
@@ -400,7 +372,6 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
   }
 
   Snapshot snap;
-  snap.checksum = actual;
 
   // -- shard section --
   snap.num_shards = in.GetU32();
@@ -543,18 +514,14 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
         in.Fail("scheme label out of range");
       }
     }
+    // The occurrence ids are one block of count * n u32s.
     const size_t num_occurrences = in.GetCount(4 * n, "occurrence");
-    m.occurrences = OccurrenceList(n);
-    m.occurrences.reserve(num_occurrences);
-    for (size_t o = 0; o < num_occurrences && in.ok(); ++o) {
-      for (VertexId& p : m.occurrences.push_back_uninitialized()) {
-        p = in.GetU32();
-        if (in.ok() && p >= num_proteins) {
-          in.Fail("occurrence protein out of range");
-          break;
-        }
-      }
+    std::vector<VertexId> ids =
+        in.GetU32Array(num_occurrences * n, "occurrence");
+    if (in.ok() && !IdsBelow(ids, num_proteins)) {
+      in.Fail("occurrence protein out of range");
     }
+    m.occurrences = OccurrenceList(n, std::move(ids));
     m.frequency = static_cast<size_t>(in.GetU64());
     m.uniqueness = in.GetDouble();
     m.strength = in.GetDouble();
@@ -617,6 +584,51 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
                               " trailing bytes before the checksum");
   }
   return snap;
+}
+
+}  // namespace
+
+StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
+  constexpr size_t kHeaderBytes = sizeof kSnapshotMagic + 4;
+  if (bytes.size() < kHeaderBytes + 8) {
+    return Status::Corruption("snapshot too short (" +
+                              std::to_string(bytes.size()) + " bytes)");
+  }
+  if (std::memcmp(bytes.data(), kSnapshotMagic, sizeof kSnapshotMagic) != 0) {
+    return Status::Corruption("bad snapshot magic (not a .lamosnap file)");
+  }
+  const std::string_view body =
+      std::string_view(bytes).substr(0, bytes.size() - 8);
+  const uint64_t stored =
+      ByteReader(std::string_view(bytes).substr(body.size())).GetU64();
+
+  // The checksum and the field decode read the same body independently, so
+  // with a second thread the checksum runs on a helper beside the decode
+  // (at one thread, or inside a parallel region, it runs inline first).
+  // The decode stays on the calling thread, so every load allocates the
+  // snapshot in that thread's malloc arena, and the helper is joined here.
+  // Either way a checksum mismatch is reported ahead of any decode or
+  // version error.
+  uint64_t actual = 0;
+  std::jthread checksum;
+  if (ThreadCount() > 1 && !InParallelRegion()) {
+    checksum = std::jthread([&] { actual = Fnv1a64(body, kFnvLegacyBasis); });
+  } else {
+    actual = Fnv1a64(body, kFnvLegacyBasis);
+  }
+  StatusOr<Snapshot> decoded = DecodeBody(body);
+  if (checksum.joinable()) checksum.join();
+  if (stored != actual) {
+    char msg[96];
+    std::snprintf(msg, sizeof msg,
+                  "snapshot checksum mismatch (stored %016llx, computed "
+                  "%016llx)",
+                  static_cast<unsigned long long>(stored),
+                  static_cast<unsigned long long>(actual));
+    return Status::Corruption(msg);
+  }
+  if (decoded.ok()) decoded->checksum = actual;
+  return decoded;
 }
 
 Status WriteSnapshot(const Snapshot& snapshot, const std::string& path) {

@@ -42,15 +42,8 @@ inline constexpr char kSnapshotMagic[8] = {'L', 'A', 'M', 'O',
 inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// One motif site a protein appears at: `motifs[motif]`'s canonical vertex
-/// `vertex`. Mirrors LabeledMotifPredictor's per-protein index.
-struct SnapshotSite {
-  uint32_t motif = 0;
-  uint32_t vertex = 0;
-
-  friend bool operator==(const SnapshotSite& a, const SnapshotSite& b) {
-    return a.motif == b.motif && a.vertex == b.vertex;
-  }
-};
+/// `vertex`. The snapshot stores the index that BuildSiteIndex builds.
+using SnapshotSite = MotifSite;
 
 /// The in-memory image of a snapshot.
 struct Snapshot {
@@ -62,9 +55,11 @@ struct Snapshot {
   std::vector<LabeledMotif> motifs;
 
   /// Per-protein motif-occurrence index: sites[p] lists the (motif, vertex)
-  /// pairs protein p plays, deduplicated, in first-seen order (identical to
-  /// the index LabeledMotifPredictor builds).
-  std::vector<std::vector<SnapshotSite>> sites;
+  /// pairs protein p plays, deduplicated, in first-seen order
+  /// (BuildSiteIndex over `motifs`). Packed once by `lamo pack` and kept
+  /// current by UpdateEngine; the served lms predictor reads it in place
+  /// instead of rebuilding its own copy.
+  MotifSiteIndex sites;
 
   /// Prediction context, materialized at pack time: the top categories
   /// (children of the first ontology root) and each protein's known
@@ -89,6 +84,10 @@ struct Snapshot {
   /// only the motif occurrences touching at least one owned protein
   /// (p % num_shards == shard_id) and only the owned rows of the per-protein
   /// site index — the memory that actually scales with query ownership.
+  /// The served lms predictor reads those rows, so a PREDICT sent straight
+  /// to a backend for a protein it does not own scores an empty row, as
+  /// MOTIFS already lists none; the router never routes one there. Owned
+  /// proteins answer exactly as from the full snapshot.
   uint32_t num_shards = 1;
   uint32_t shard_id = 0;
 
@@ -112,9 +111,10 @@ std::string ShardSnapshotPath(const std::string& base, uint32_t shard_id,
 /// Extracts shard `shard_id` of `num_shards` from a full snapshot: drops
 /// motif occurrences containing no owned protein and clears the site-index
 /// rows of non-owned proteins. For every owned protein the shard answers
-/// PREDICT and MOTIFS byte-identically to the full snapshot (the predictor's
-/// index is rebuilt from exactly the occurrences that involve owned
-/// proteins, in the same first-seen order). Requires shard_id < num_shards.
+/// PREDICT and MOTIFS byte-identically to the full snapshot (the kept
+/// occurrences are exactly those that involve owned proteins, in order, so
+/// the owned rows of the site index are unchanged and a live update that
+/// rebuilds them gets the same rows). Requires shard_id < num_shards.
 Snapshot MakeShard(const Snapshot& full, uint32_t shard_id,
                    uint32_t num_shards);
 

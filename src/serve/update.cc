@@ -241,21 +241,11 @@ Status UpdateEngine::Apply(bool add, VertexId u, VertexId v,
     }
   }
 
-  // Rebuild the site index exactly as BuildSnapshot does (first-seen dedup;
-  // shards keep owned rows only), then fold every row that changed — and
-  // every row siting a changed motif — into the affected set.
-  std::vector<std::vector<SnapshotSite>> sites(snap_->graph.num_vertices());
-  for (uint32_t mi = 0; mi < snap_->motifs.size(); ++mi) {
-    for (const std::span<const VertexId> occ : snap_->motifs[mi].occurrences) {
-      for (uint32_t pos = 0; pos < occ.size(); ++pos) {
-        auto& row = sites[occ[pos]];
-        const SnapshotSite site{mi, pos};
-        if (std::find(row.begin(), row.end(), site) == row.end()) {
-          row.push_back(site);
-        }
-      }
-    }
-  }
+  // Rebuild the site index as BuildSnapshot does (shards keep owned rows
+  // only), then fold every row that changed — and every row siting a
+  // changed motif — into the affected set.
+  MotifSiteIndex sites =
+      BuildSiteIndex(snap_->motifs, snap_->graph.num_vertices());
   if (snap_->num_shards > 1) {
     for (uint32_t p = 0; p < sites.size(); ++p) {
       if (!snap_->OwnsProtein(p)) {

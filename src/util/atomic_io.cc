@@ -70,23 +70,29 @@ Status ReadFileToString(const std::string& path, std::string* out) {
     if (errno == ENOENT) return Status::NotFound("no file at " + path);
     return IoErrorFor("open", path);
   }
-  out->clear();
+  // Read straight into the string, sized from fstat with one spare byte so
+  // the read that sees end-of-file needs no regrowth. A file that grew since
+  // (or one fstat cannot size) doubles the buffer until read returns 0.
   struct stat st;
-  if (fstat(fd, &st) == 0 && st.st_size > 0) {
-    out->reserve(static_cast<size_t>(st.st_size));
-  }
-  char buf[1 << 16];
+  const size_t expected =
+      fstat(fd, &st) == 0 && st.st_size > 0 ? static_cast<size_t>(st.st_size)
+                                            : 0;
+  out->resize(expected + 1);
+  size_t done = 0;
   for (;;) {
-    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (done == out->size()) out->resize(2 * out->size());
+    const ssize_t n = read(fd, out->data() + done, out->size() - done);
     if (n == 0) break;
     if (n < 0) {
       if (errno == EINTR) continue;
       const Status status = IoErrorFor("read", path);
       close(fd);
+      out->clear();
       return status;
     }
-    out->append(buf, static_cast<size_t>(n));
+    done += static_cast<size_t>(n);
   }
+  out->resize(done);
   close(fd);
   return Status::OK();
 }

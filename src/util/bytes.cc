@@ -2,26 +2,6 @@
 
 namespace lamo {
 
-void ByteWriter::PutU32Vec(const std::vector<uint32_t>& v) {
-  PutU64(v.size());
-  for (const uint32_t x : v) PutU32(x);
-}
-
-void ByteWriter::PutU64Vec(const std::vector<uint64_t>& v) {
-  PutU64(v.size());
-  for (const uint64_t x : v) PutU64(x);
-}
-
-void ByteWriter::PutSizeVec(const std::vector<size_t>& v) {
-  PutU64(v.size());
-  for (const size_t x : v) PutU64(x);
-}
-
-void ByteWriter::PutDoubleVec(const std::vector<double>& v) {
-  PutU64(v.size());
-  for (const double x : v) PutDouble(x);
-}
-
 void ByteWriter::PutBoolVec(const std::vector<bool>& v) {
   PutU64(v.size());
   for (const bool b : v) PutU8(b ? 1 : 0);
@@ -54,30 +34,6 @@ size_t ByteReader::GetCount(size_t element_bytes, const char* what) {
 std::vector<uint8_t> ByteReader::GetU8Vec(const char* what) {
   const std::string_view s = GetBytes(GetCount(1, what), what);
   return std::vector<uint8_t>(s.begin(), s.end());
-}
-
-std::vector<uint32_t> ByteReader::GetU32Vec(const char* what) {
-  std::vector<uint32_t> v(GetCount(4, what));
-  for (uint32_t& x : v) x = GetU32();
-  return v;
-}
-
-std::vector<uint64_t> ByteReader::GetU64Vec(const char* what) {
-  std::vector<uint64_t> v(GetCount(8, what));
-  for (uint64_t& x : v) x = GetU64();
-  return v;
-}
-
-std::vector<size_t> ByteReader::GetSizeVec(const char* what) {
-  std::vector<size_t> v(GetCount(8, what));
-  for (size_t& x : v) x = static_cast<size_t>(GetU64());
-  return v;
-}
-
-std::vector<double> ByteReader::GetDoubleVec(const char* what) {
-  std::vector<double> v(GetCount(8, what));
-  for (double& x : v) x = GetDouble();
-  return v;
 }
 
 std::vector<bool> ByteReader::GetBoolVec(const char* what) {

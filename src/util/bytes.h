@@ -4,6 +4,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,18 +22,22 @@ namespace lamo {
 /// (docs/FORMATS.md §Primitives): fixed-width little-endian integers, IEEE
 /// doubles as their u64 bits, and vectors as a u64 element count followed by
 /// the elements at fixed width (bools one byte each).
+///
+/// Fixed-width values and arrays are copied to and from the buffer with
+/// memcpy, which is the file's byte order only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the codec copies fixed-width values in host byte order, which "
+              "must be the little-endian order of docs/FORMATS.md");
+static_assert(sizeof(size_t) == 8, "size_t elements are written as u64");
+static_assert(sizeof(double) == 8, "doubles are written as their u64 bits");
 
 /// Appends primitives to a growing byte string.
 class ByteWriter {
  public:
   void PutU8(uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-  void PutU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void PutU64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
+  void PutU32(uint32_t v) { PutRaw(&v, sizeof v); }
+  void PutU64(uint64_t v) { PutRaw(&v, sizeof v); }
+  void PutDouble(double v) { PutRaw(&v, sizeof v); }
   /// u64 length + raw bytes.
   void PutString(std::string_view s) {
     PutU64(s.size());
@@ -43,17 +50,30 @@ class ByteWriter {
     PutString(std::string_view(reinterpret_cast<const char*>(v.data()),
                                v.size()));
   }
-  void PutU32Vec(const std::vector<uint32_t>& v);
-  void PutU64Vec(const std::vector<uint64_t>& v);
+  /// The u32s of `v`, no count (one append).
+  void PutU32Array(std::span<const uint32_t> v) {
+    PutRaw(v.data(), v.size_bytes());
+  }
+  void PutU32Vec(const std::vector<uint32_t>& v) { PutFixedVec(v); }
+  void PutU64Vec(const std::vector<uint64_t>& v) { PutFixedVec(v); }
   /// size_t elements, each written as a u64.
-  void PutSizeVec(const std::vector<size_t>& v);
-  void PutDoubleVec(const std::vector<double>& v);
+  void PutSizeVec(const std::vector<size_t>& v) { PutFixedVec(v); }
+  void PutDoubleVec(const std::vector<double>& v) { PutFixedVec(v); }
   void PutBoolVec(const std::vector<bool>& v);
 
   const std::string& bytes() const { return bytes_; }
   std::string TakeBytes() { return std::move(bytes_); }
 
  private:
+  void PutRaw(const void* data, size_t n) {
+    bytes_.append(static_cast<const char*>(data), n);
+  }
+  template <typename T>
+  void PutFixedVec(const std::vector<T>& v) {
+    PutU64(v.size());
+    PutRaw(v.data(), v.size() * sizeof(T));
+  }
+
   std::string bytes_;
 };
 
@@ -80,26 +100,8 @@ class ByteReader {
     if (!Need(1, "u8")) return 0;
     return static_cast<uint8_t>(bytes_[pos_++]);
   }
-  uint32_t GetU32() {
-    if (!Need(4, "u32")) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  uint64_t GetU64() {
-    if (!Need(8, "u64")) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
+  uint32_t GetU32() { return GetFixed<uint32_t>("u32"); }
+  uint64_t GetU64() { return GetFixed<uint64_t>("u64"); }
   double GetDouble() { return std::bit_cast<double>(GetU64()); }
   /// The next `n` raw bytes (a view into the buffer).
   std::string_view GetBytes(uint64_t n, const char* what) {
@@ -117,14 +119,51 @@ class ByteReader {
   /// is allocated, so a corrupt count cannot trigger a huge allocation.
   size_t GetCount(size_t element_bytes, const char* what);
 
+  /// The next `n` u32s, no count (the caller has bounded `n`, e.g. with
+  /// GetCount): one bounds check and one memcpy.
+  std::vector<uint32_t> GetU32Array(size_t n, const char* what) {
+    return GetFixedArray<uint32_t>(n, what);
+  }
+
   std::vector<uint8_t> GetU8Vec(const char* what);
-  std::vector<uint32_t> GetU32Vec(const char* what);
-  std::vector<uint64_t> GetU64Vec(const char* what);
-  std::vector<size_t> GetSizeVec(const char* what);
-  std::vector<double> GetDoubleVec(const char* what);
+  /// Fixed-width vectors: the count is checked by GetCount before anything
+  /// is allocated, then the elements are copied in one block.
+  std::vector<uint32_t> GetU32Vec(const char* what) {
+    return GetFixedArray<uint32_t>(GetCount(4, what), what);
+  }
+  std::vector<uint64_t> GetU64Vec(const char* what) {
+    return GetFixedArray<uint64_t>(GetCount(8, what), what);
+  }
+  std::vector<size_t> GetSizeVec(const char* what) {
+    return GetFixedArray<size_t>(GetCount(8, what), what);
+  }
+  std::vector<double> GetDoubleVec(const char* what) {
+    return GetFixedArray<double>(GetCount(8, what), what);
+  }
   std::vector<bool> GetBoolVec(const char* what);
 
  private:
+  template <typename T>
+  T GetFixed(const char* what) {
+    if (!Need(sizeof(T), what)) return 0;
+    T v{};
+    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
+  template <typename T>
+  std::vector<T> GetFixedArray(size_t n, const char* what) {
+    // A count too large for the bytes left fails in GetBytes before
+    // anything is allocated (and without overflowing n * sizeof(T)).
+    const uint64_t size = n <= remaining() / sizeof(T)
+                              ? n * sizeof(T)
+                              : std::numeric_limits<uint64_t>::max();
+    const std::string_view s = GetBytes(size, what);
+    std::vector<T> v(s.size() / sizeof(T));
+    if (!v.empty()) std::memcpy(v.data(), s.data(), s.size());
+    return v;
+  }
+
   bool Need(uint64_t n, const char* what) {
     if (!ok_) return false;
     if (n > remaining()) {

@@ -105,7 +105,7 @@ grep -q "drained" "$WORK/serve.log" || {
 }
 test -s "$WORK/serve_report.json"
 "$REPORT_CHECK" "$WORK/serve_report.json" serve.requests \
-  hist:serve.request_us > /dev/null
+  hist:serve.request_us phase:load phase:init > /dev/null
 
 echo "serve OK: concurrent answers byte-identical to offline predict," \
   "corrupt snapshots rejected, clean shutdown"

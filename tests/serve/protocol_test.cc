@@ -4,8 +4,11 @@
 // server's ordered, deterministic output.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
@@ -15,6 +18,7 @@
 #include "serve/request.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "serve/update.h"
 #include "serve_test_util.h"
 
 namespace lamo {
@@ -169,6 +173,64 @@ TEST_F(ServiceTest, PredictMatchesOfflineFormatter) {
     EXPECT_EQ(service_.Handle("PREDICT " + std::to_string(p)),
               FormatOkResponse(lines))
         << "protein " << p;
+  }
+}
+
+// An edge inside a stored motif occurrence, so deleting it moves motif state.
+std::pair<VertexId, VertexId> OccurrenceEdge(const Snapshot& snapshot) {
+  for (const LabeledMotif& motif : snapshot.motifs) {
+    for (const std::span<const VertexId> occ : motif.occurrences) {
+      for (size_t i = 0; i < occ.size(); ++i) {
+        for (size_t j = i + 1; j < occ.size(); ++j) {
+          if (snapshot.graph.HasEdge(occ[i], occ[j])) return {occ[i], occ[j]};
+        }
+      }
+    }
+  }
+  ADD_FAILURE() << "no motif occurrence has an edge";
+  return {0, 0};
+}
+
+TEST(ShardServiceTest, PredictMatchesOfflineFormatterOnEveryShard) {
+  // The sharded twin of PredictMatchesOfflineFormatter: each shard's lms
+  // reads the shard's own site rows, and for every protein it owns it must
+  // answer byte-identically to offline lms over the full snapshot — before
+  // and after a live DELEDGE/ADDEDGE pair.
+  Snapshot full = TestSnapshot();
+  constexpr uint32_t kShards = 2;
+  std::vector<std::unique_ptr<SnapshotService>> shards;
+  for (uint32_t i = 0; i < kShards; ++i) {
+    shards.push_back(
+        std::make_unique<SnapshotService>(MakeShard(full, i, kShards)));
+  }
+  const auto check = [&](const std::string& when) {
+    PredictionContext context;
+    context.ppi = &full.graph;
+    context.categories = full.categories;
+    context.protein_categories = full.protein_categories;
+    const LabeledMotifPredictor predictor(context, full.ontology, full.motifs);
+    for (ProteinId p = 0; p < full.graph.num_vertices(); ++p) {
+      const auto lines =
+          PredictionOutputLines(context, full.ontology, predictor, p, 3);
+      EXPECT_EQ(shards[p % kShards]->Handle("PREDICT " + std::to_string(p)),
+                FormatOkResponse(lines))
+          << when << ": protein " << p;
+    }
+  };
+  check("as packed");
+
+  UpdateEngine full_engine(&full);
+  const auto [u, v] = OccurrenceEdge(full);
+  for (const bool add : {false, true}) {
+    UpdateResult result;
+    ASSERT_TRUE(full_engine.Apply(add, u, v, &result).ok());
+    ASSERT_GT(result.occ_added + result.occ_removed, 0u);
+    const std::string line = std::string(add ? "ADDEDGE " : "DELEDGE ") +
+                             std::to_string(u) + " " + std::to_string(v);
+    for (const auto& shard : shards) {
+      ASSERT_EQ(shard->Handle(line).rfind("OK", 0), 0u) << line;
+    }
+    check("after " + line);
   }
 }
 

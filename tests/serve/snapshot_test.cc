@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 
+#include "parallel/parallel_for.h"
 #include "predict/gds.h"
 #include "serve/snapshot.h"
 #include "util/bytes.h"
@@ -273,6 +274,58 @@ TEST_F(SnapshotTest, RejectsBitFlips) {
     EXPECT_FALSE(result.ok()) << "flip at offset " << offset;
   }
 }
+
+// The checksum runs beside the field decode when there are threads to run
+// it on; either way a damaged body must report the checksum, and a resealed
+// one the decode error.
+class SnapshotThreadsTest : public SnapshotTest,
+                            public ::testing::WithParamInterface<size_t> {
+ protected:
+  void SetUp() override { SetThreadCount(GetParam()); }
+  void TearDown() override { SetThreadCount(0); }
+};
+
+TEST_P(SnapshotThreadsTest, DamagedBodyReportsTheChecksumFirst) {
+  // The predictor section, back from the seal: role vectors (u64 count +
+  // elements), role_dim (u32), GDS signatures (u64 count + elements).
+  const Snapshot& snapshot = TestSnapshot();
+  const size_t role_dim =
+      encoded_->size() - 8 - 8 * snapshot.role_vectors.size() - 8 - 4;
+  const size_t gds_count = role_dim - 8 * snapshot.gds_signatures.size() - 8;
+  // The version word, then the low bytes of the GDS count and of role_dim.
+  for (const size_t offset : {size_t{8}, gds_count, role_dim}) {
+    std::string bytes = *encoded_;
+    bytes[offset] = static_cast<char>(bytes[offset] ^ 0x10);
+    const auto damaged = DecodeSnapshot(bytes);
+    ASSERT_FALSE(damaged.ok()) << "offset " << offset;
+    EXPECT_NE(damaged.status().message().find("checksum mismatch"),
+              std::string::npos)
+        << "offset " << offset << ": " << damaged.status().ToString();
+
+    Reseal(&bytes);
+    const auto resealed = DecodeSnapshot(bytes);
+    ASSERT_FALSE(resealed.ok()) << "offset " << offset;
+    const std::string message = resealed.status().message();
+    EXPECT_EQ(message.find("checksum"), std::string::npos) << message;
+    EXPECT_NE(message.find(offset == 8 ? "unsupported snapshot version"
+                                       : "snapshot decode:"),
+              std::string::npos)
+        << message;
+  }
+}
+
+TEST_P(SnapshotThreadsTest, IntactBytesDecodeWithTheirChecksum) {
+  const auto decoded = DecodeSnapshot(*encoded_);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->checksum,
+            lamo::Fnv1a64(std::string_view(*encoded_).substr(
+                              0, encoded_->size() - 8),
+                          kFnvLegacyBasis));
+  EXPECT_EQ(EncodeSnapshot(*decoded), *encoded_);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SnapshotThreadsTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 TEST_F(SnapshotTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(DecodeSnapshot(*encoded_ + "extra").ok());

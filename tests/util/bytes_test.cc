@@ -151,6 +151,83 @@ TEST(ByteReaderTest, ReadsEndingAtTheLastByteSucceed) {
   EXPECT_FALSE(short_by_one.ok());
 }
 
+// The fixed-width vector getters copy their elements in one block; the
+// buffer is read from an odd offset so no element is aligned.
+TEST(ByteReaderTest, BulkVectorsRoundTripFromUnalignedOffsets) {
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{1000}}) {
+    std::vector<uint32_t> u32s(n);
+    std::vector<uint64_t> u64s(n);
+    std::vector<size_t> sizes(n);
+    std::vector<double> doubles(n);
+    for (size_t i = 0; i < n; ++i) {
+      u32s[i] = static_cast<uint32_t>(i * 2654435761u);
+      u64s[i] = (uint64_t{i} << 40) ^ (i * 0x9e3779b97f4a7c15ull);
+      sizes[i] = i * 7 + 1;
+      doubles[i] = -0.5 * static_cast<double>(i) + 1e-3;
+    }
+    ByteWriter writer;
+    writer.PutU8(0xab);  // shifts everything after it to an odd offset
+    writer.PutU32Vec(u32s);
+    writer.PutU64Vec(u64s);
+    writer.PutSizeVec(sizes);
+    writer.PutDoubleVec(doubles);
+    writer.PutU32Array(u32s);
+    const std::string buffer = "x" + writer.bytes();  // odd base, too
+    ByteReader reader(std::string_view(buffer).substr(1));
+    EXPECT_EQ(reader.GetU8(), 0xab);
+    EXPECT_EQ(reader.GetU32Vec("u32"), u32s) << n;
+    EXPECT_EQ(reader.GetU64Vec("u64"), u64s) << n;
+    EXPECT_EQ(reader.GetSizeVec("size"), sizes) << n;
+    EXPECT_EQ(reader.GetDoubleVec("double"), doubles) << n;
+    EXPECT_EQ(reader.GetU32Array(n, "u32 array"), u32s) << n;
+    EXPECT_TRUE(reader.ok()) << reader.error();
+    EXPECT_TRUE(reader.AtEnd());
+  }
+}
+
+TEST(ByteReaderTest, BulkVectorTruncatedInsideItsElementsFailsAtTheCount) {
+  // Three elements declared, the buffer ends inside the last one: the count
+  // check fails first, naming the count at the count's own end offset.
+  struct Kind {
+    int id;
+    size_t width;
+    const char* what;
+  };
+  for (const Kind kind : {Kind{0, 4, "u32"}, Kind{1, 8, "u64"},
+                          Kind{2, 8, "size"}, Kind{3, 8, "double"}}) {
+    ByteWriter writer;
+    writer.PutU64(3);
+    writer.PutBytes(std::string(3 * kind.width - 1, '\x5a'));
+    ByteReader reader(writer.bytes());
+    size_t got = 0;
+    switch (kind.id) {
+      case 0: got = reader.GetU32Vec(kind.what).size(); break;
+      case 1: got = reader.GetU64Vec(kind.what).size(); break;
+      case 2: got = reader.GetSizeVec(kind.what).size(); break;
+      default: got = reader.GetDoubleVec(kind.what).size(); break;
+    }
+    EXPECT_EQ(got, 0u) << kind.what;
+    EXPECT_EQ(reader.error(),
+              std::string("implausible ") + kind.what + " count 3 at offset 8");
+    // After the failure every getter returns empty and the error stays.
+    EXPECT_TRUE(reader.GetU32Vec("u32").empty());
+    EXPECT_TRUE(reader.GetU64Vec("u64").empty());
+    EXPECT_TRUE(reader.GetSizeVec("size").empty());
+    EXPECT_TRUE(reader.GetDoubleVec("double").empty());
+    EXPECT_TRUE(reader.GetU32Array(0, "u32 array").empty());
+    EXPECT_EQ(reader.error(),
+              std::string("implausible ") + kind.what + " count 3 at offset 8");
+  }
+}
+
+TEST(ByteReaderTest, BulkArrayLongerThanTheBufferFailsWithoutAllocating) {
+  ByteWriter writer;
+  writer.PutU32Array(std::vector<uint32_t>{1, 2});
+  ByteReader reader(writer.bytes());
+  EXPECT_TRUE(reader.GetU32Array(size_t{1} << 62, "ids").empty());
+  EXPECT_EQ(reader.error(), "truncated ids at offset 0");
+}
+
 TEST(Fnv1a64Test, MatchesReferenceValues) {
   // Reference FNV-1a 64 values: the empty string is the offset basis.
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "util/atomic_io.h"
 #include "util/fault.h"
@@ -193,6 +194,35 @@ TEST(AtomicIoFaultTest, ShortWritesAndEintrAreRecovered) {
   EXPECT_TRUE(WriteFileAtomic(path, big + "tail").ok());
   EXPECT_EQ(ReadWholeFile(path), big + "tail");
   FaultArmForTest(nullptr);
+}
+
+TEST(ReadFileToStringTest, ReadsExactlyTheFileWhateverItsSize) {
+  ScratchDir dir;
+  const std::string path = dir.str() + "/file.bin";
+  std::string out(1000, 'x');  // stale contents must not survive a read
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{300001}}) {
+    std::string bytes(size, '\0');
+    for (size_t i = 0; i < size; ++i) bytes[i] = static_cast<char>(i * 131);
+    ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+    ASSERT_TRUE(ReadFileToString(path, &out).ok());
+    EXPECT_EQ(out, bytes) << size;
+  }
+  EXPECT_TRUE(ReadFileToString(dir.str() + "/none", &out).IsNotFound());
+}
+
+TEST(ReadFileToStringTest, ReadsAStreamFstatCannotSize) {
+  // A FIFO reports size 0, so the buffer grows until read returns 0.
+  ScratchDir dir;
+  const std::string path = dir.str() + "/fifo";
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  std::string bytes(200000, 'q');
+  bytes[123457] = 'z';
+  std::thread writer([&] { std::ofstream(path, std::ios::binary) << bytes; });
+  std::string out;
+  const Status status = ReadFileToString(path, &out);
+  writer.join();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(out, bytes);
 }
 
 TEST(AtomicIoFaultTest, InjectedErrorLeavesPreviousFileIntact) {

@@ -633,6 +633,10 @@ int CmdServe(const Flags& flags) {
       flags.Has("no-cache")
           ? 0
           : flags.GetSize("cache-capacity", kDefaultServeCacheCapacity);
+  // "init": everything between the loaded snapshot and the first request —
+  // the service and its predictor, the --predictor swap, journal replay.
+  std::optional<ScopedTimer> init_timer;
+  init_timer.emplace("init");
   SnapshotService service(std::move(*snapshot), cache_capacity);
   if (predictor_name != "lms") {
     const Status status = service.UsePredictor(predictor_name);
@@ -650,6 +654,7 @@ int CmdServe(const Flags& flags) {
                  static_cast<unsigned long long>(
                      service.stats().updates.load()));
   }
+  init_timer.reset();
   auto access_log = OpenAccessLog(flags);
   if (!access_log.ok()) return Fail(access_log.status());
   if (*access_log != nullptr) service.set_access_log(access_log->get());

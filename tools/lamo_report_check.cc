@@ -3,7 +3,8 @@
 // every required key is present with the right shape, 1 with a diagnostic
 // otherwise. Extra arguments name counters that must be present *and*
 // nonzero; a `hist:` prefix demands a histogram with a nonzero count
-// instead, and a `gauge:` prefix a nonzero gauge. Used by the
+// instead, a `gauge:` prefix a nonzero gauge, and a `phase:` prefix a phase
+// of that name at any depth of the phase tree. Used by the
 // report_schema ctest; handy interactively too:
 //
 //   lamo mine --graph g.txt --report r.json
@@ -53,6 +54,17 @@ bool CheckPhase(const JsonValue& phase, int* rc) {
     if (!CheckPhase(child, rc)) return false;
   }
   return true;
+}
+
+// True iff `name` labels one of `phases` or any of their descendants.
+bool HasPhase(const JsonValue& phases, const char* name) {
+  for (const JsonValue& phase : phases.items) {
+    const JsonValue* phase_name = phase.Find("name");
+    if (phase_name != nullptr && phase_name->string_value == name) return true;
+    const JsonValue* children = phase.Find("children");
+    if (children != nullptr && HasPhase(*children, name)) return true;
+  }
+  return false;
 }
 
 // Validates one histogram entry and its invariants: required numeric fields,
@@ -357,6 +369,13 @@ int Check(const std::string& path, int num_required, char** required) {
       }
       continue;
     }
+    if (std::strncmp(required[i], "phase:", 6) == 0) {
+      const char* name = required[i] + 6;
+      if (!HasPhase(*phases, name)) {
+        return Fail(std::string("phase \"") + name + "\" missing");
+      }
+      continue;
+    }
     if (std::strncmp(required[i], "gauge:", 6) == 0) {
       const char* name = required[i] + 6;
       const JsonValue* value = gauges->Find(name);
@@ -382,7 +401,8 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: lamo_report_check <report.json> "
-                 "[required-nonzero-counter | hist:NAME | gauge:NAME ...]\n");
+                 "[required-nonzero-counter | hist:NAME | gauge:NAME | "
+                 "phase:NAME ...]\n");
     return 2;
   }
   return lamo::Check(argv[1], argc - 2, argv + 2);
