@@ -52,7 +52,7 @@ void SetNonBlocking(int fd) {
 
 /// Dials 127.0.0.1:port. Returns -1 on failure.
 int DialBackend(uint16_t port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -143,18 +143,26 @@ void Backend::SwapStdoutFd(int fd) {
 }
 
 Status Backend::Spawn(const BackendConfig& config) {
+  const Status launched = Launch(config);
+  return launched.ok() ? Await(config) : launched;
+}
+
+Status Backend::Launch(const BackendConfig& config) {
   if (generation_.fetch_add(1, std::memory_order_acq_rel) > 0) {
     respawns_.fetch_add(1, std::memory_order_relaxed);
   }
   CloseAllConns();
   SwapStdoutFd(-1);
 
+  // Close-on-exec, like every descriptor the router opens: a backend keeps
+  // only the write end, as its stdout.
   int out_pipe[2];
-  if (pipe(out_pipe) != 0) {
+  if (pipe2(out_pipe, O_CLOEXEC) != 0) {
     return Status::IoError("backend " + std::to_string(index_) +
                            ": pipe() failed");
   }
 
+  const pid_t router = getpid();
   const pid_t child = fork();
   if (child < 0) {
     close(out_pipe[0]);
@@ -165,10 +173,11 @@ Status Backend::Spawn(const BackendConfig& config) {
   if (child == 0) {
     // Child: stdout -> pipe (the router parses the listening banner from
     // it); die with the router so killed tests cannot leak serve processes.
+    // A router that died before the prctl took effect sends no signal, so
+    // the child checks that it was not already orphaned.
     dup2(out_pipe[1], STDOUT_FILENO);
-    close(out_pipe[0]);
-    close(out_pipe[1]);
     prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (getppid() != router) _exit(127);
     // A backend must not inherit the router's fault arming: the injected
     // fault targets the router process, and kFaultExitCode from a backend
     // would masquerade as the router crash the matrix looks for.
@@ -186,11 +195,19 @@ Status Backend::Spawn(const BackendConfig& config) {
 
   close(out_pipe[1]);
   pid_.store(child, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot_path_ = config.snapshot;
-  }
+  SwapStdoutFd(out_pipe[0]);
+  std::lock_guard<std::mutex> lock(mu_);
+  snapshot_path_ = config.snapshot;
+  return Status::OK();
+}
 
+Status Backend::Await(const BackendConfig& config) {
+  const pid_t child = pid();
+  int out_fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(stdout_mu_);
+    out_fd = stdout_fd_;
+  }
   // Read the child's stdout until the listening banner appears (or the
   // budget expires / the child exits). The pipe stays open afterwards and
   // the monitor thread keeps draining it.
@@ -199,13 +216,13 @@ Status Backend::Spawn(const BackendConfig& config) {
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(config.spawn_timeout_ms);
   bool ok = false;
-  while (Clock::now() < deadline) {
-    pollfd pfd{out_pipe[0], POLLIN, 0};
+  while (child > 0 && out_fd >= 0 && Clock::now() < deadline) {
+    pollfd pfd{out_fd, POLLIN, 0};
     const int ready = poll(&pfd, 1, 100);
     if (ready < 0 && errno != EINTR) break;
     if (ready > 0 && (pfd.revents & (POLLIN | POLLHUP)) != 0) {
       char chunk[512];
-      const ssize_t n = read(out_pipe[0], chunk, sizeof chunk);
+      const ssize_t n = read(out_fd, chunk, sizeof chunk);
       if (n <= 0) break;  // EOF: child died before listening
       banner.append(chunk, static_cast<size_t>(n));
       if (ParsePortFromBanner(banner, &port)) {
@@ -216,13 +233,13 @@ Status Backend::Spawn(const BackendConfig& config) {
     int wait_status = 0;
     if (waitpid(child, &wait_status, WNOHANG) == child) {
       pid_.store(-1, std::memory_order_release);
-      close(out_pipe[0]);
+      SwapStdoutFd(-1);
       return Status::IoError("backend " + std::to_string(index_) +
                              ": serve process exited before listening");
     }
   }
   if (!ok) {
-    close(out_pipe[0]);
+    SwapStdoutFd(-1);
     Kill(SIGKILL);
     if (pid() > 0) {
       waitpid(pid(), nullptr, 0);
@@ -234,8 +251,7 @@ Status Backend::Spawn(const BackendConfig& config) {
                                     "ms");
   }
 
-  SetNonBlocking(out_pipe[0]);
-  SwapStdoutFd(out_pipe[0]);
+  SetNonBlocking(out_fd);
   port_.store(port, std::memory_order_release);
   set_state(BackendState::kUp);
   if (config.log != nullptr) {

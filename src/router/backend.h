@@ -61,10 +61,18 @@ class Backend {
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
 
-  /// Spawns `lamo serve --snapshot <config.snapshot> --port 0`, waits for
-  /// the listening banner, and marks the backend kUp. Bumps the generation
-  /// so connections to a previous incarnation cannot be reused.
+  /// Launch, then Await.
   Status Spawn(const BackendConfig& config);
+
+  /// Forks and execs `lamo serve --snapshot <config.snapshot> --port 0`
+  /// without waiting for it. Bumps the generation so connections to a
+  /// previous incarnation cannot be reused. The child dies with the thread
+  /// that launched it (PR_SET_PDEATHSIG) and inherits only its stdout.
+  Status Launch(const BackendConfig& config);
+
+  /// Waits for the launched child's listening banner and marks the backend
+  /// kUp. Call on the launching thread, with the config it launched with.
+  Status Await(const BackendConfig& config);
 
   /// Signals the child (idempotent; no-op when not running).
   void Kill(int signal_number);
@@ -110,7 +118,7 @@ class Backend {
     return respawns_.load(std::memory_order_relaxed);
   }
 
-  /// Snapshot path of the current incarnation (set by Spawn).
+  /// Snapshot path of the current incarnation (set by Launch).
   std::string snapshot_path() const;
 
  private:

@@ -15,8 +15,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Armed by the crash matrix: kills the router between backend spawns so the
-/// harness can assert backends die with it (PR_SET_PDEATHSIG) instead of
+/// Armed by the crash matrix: kills the router between backend launches so
+/// the harness can assert backends die with it (PR_SET_PDEATHSIG) instead of
 /// leaking.
 const size_t kFaultSpawn = FaultPointId("router.spawn");
 
@@ -72,22 +72,30 @@ BackendConfig Cluster::MakeBackendConfig(
   return config;
 }
 
-Status Cluster::SpawnBackend(size_t index, const std::string& base) {
+Status Cluster::LaunchBackend(size_t index, const BackendConfig& config) {
   if (FaultHit(kFaultSpawn) == FaultAction::kError) {
     return Status::IoError("injected fault: router.spawn");
   }
-  return backends_[index]->Spawn(
-      MakeBackendConfig(index, SnapshotPathFor(base, index)));
+  return backends_[index]->Launch(config);
 }
 
 Status Cluster::Start() {
+  // Every backend is launched before any is awaited, so their snapshot
+  // loads run side by side. Both stay on this thread: a backend dies with
+  // the thread that forked it (PR_SET_PDEATHSIG).
   const std::string base = base_snapshot();
-  for (size_t i = 0; i < backends_.size(); ++i) {
-    const Status status = SpawnBackend(i, base);
-    if (!status.ok()) {
-      Stop();
-      return status;
-    }
+  std::vector<BackendConfig> configs;
+  Status status = Status::OK();
+  for (size_t i = 0; i < backends_.size() && status.ok(); ++i) {
+    configs.push_back(MakeBackendConfig(i, SnapshotPathFor(base, i)));
+    status = LaunchBackend(i, configs[i]);
+  }
+  for (size_t i = 0; i < backends_.size() && status.ok(); ++i) {
+    status = backends_[i]->Await(configs[i]);
+  }
+  if (!status.ok()) {
+    Stop();
+    return status;
   }
   running_.store(true, std::memory_order_release);
   monitor_ = std::thread([this] { MonitorLoop(); });
@@ -266,7 +274,10 @@ Status Cluster::SwapBackends(const std::string& new_base) {
       while (backend.pid() > 0 && !backend.Reap()) SleepMs(10);
     }
 
-    const Status spawned = SpawnBackend(i, new_base);
+    const BackendConfig config =
+        MakeBackendConfig(i, SnapshotPathFor(new_base, i));
+    Status spawned = LaunchBackend(i, config);
+    if (spawned.ok()) spawned = backend.Await(config);
     if (!spawned.ok()) return spawned;
     const Status healthy = ProbeHealth(i);
     if (!healthy.ok()) return healthy;

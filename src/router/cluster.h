@@ -62,8 +62,9 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Spawns every backend and starts the monitor thread. Fails fast if any
-  /// backend cannot start (bad snapshot path, exec failure).
+  /// Launches every backend, then awaits each one's listening banner, so
+  /// their snapshot loads overlap; then starts the monitor thread. Fails
+  /// fast if any backend cannot start (bad snapshot path, exec failure).
   Status Start();
 
   /// Kills every backend and joins the monitor thread. Idempotent.
@@ -109,7 +110,8 @@ class Cluster {
  private:
   void MonitorLoop();
   Status SwapBackends(const std::string& new_base);
-  Status SpawnBackend(size_t index, const std::string& base);
+  /// Hits the `router.spawn` fault point, then launches backend `index`.
+  Status LaunchBackend(size_t index, const BackendConfig& config);
   Status ProbeHealth(size_t index);
   /// The spawn config for backend `index` serving `snapshot_path` — the one
   /// place the access-log extra args are composed, so initial spawns,

@@ -8,7 +8,8 @@ namespace lamo {
 
 StatusOr<std::unique_ptr<AccessLog>> AccessLog::Open(
     const AccessLogOptions& options) {
-  std::FILE* file = std::fopen(options.path.c_str(), "a");
+  // "e": close-on-exec, so backends a router forks do not hold it open.
+  std::FILE* file = std::fopen(options.path.c_str(), "ae");
   if (file == nullptr) {
     return Status::IoError("cannot open access log " + options.path);
   }

@@ -98,7 +98,7 @@ StatusOr<UpdateJournal> UpdateJournal::Open(const std::string& path,
     return Status::Corruption("journal " + path +
                               " has no complete header line");
   }
-  FILE* file = fopen(path.c_str(), "a");
+  FILE* file = fopen(path.c_str(), "ae");  // "e": close-on-exec
   if (file == nullptr) {
     return Status::IoError("cannot open journal " + path +
                            " for append: " + strerror(errno));

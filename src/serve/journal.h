@@ -42,7 +42,7 @@ bool IsDeltaComment(const std::string& line);
 ///     not the crashed process got to apply it.
 ///
 /// The header line, `LAMOJOURNAL 1 <checksum>`, binds the journal to the
-/// base snapshot by its FNV-1a checksum: attaching a journal written against
+/// base snapshot by its trailing seal: attaching a journal written against
 /// a different snapshot is a Corruption error, not a silent wrong replay. A
 /// torn trailing line (no '\n' — the crash hit mid-append) is ignored, which
 /// is exactly the "entry absent" case: an unacknowledged update.

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <malloc.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -646,7 +647,10 @@ struct Conn {
 
 Status RunTcpServer(LineService* service, const ServeOptions& options) {
   std::FILE* log = options.log != nullptr ? options.log : stdout;
-  const int listen_fd = socket(AF_INET, SOCK_STREAM, 0);
+  // Every descriptor here is close-on-exec: a router forks backends while
+  // it serves, and a backend must not hold the router's listening socket,
+  // self-pipes or client connections open.
+  const int listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd < 0) return Status::IoError("socket() failed");
   const int one = 1;
   setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -675,7 +679,7 @@ Status RunTcpServer(LineService* service, const ServeOptions& options) {
   }
 
   int pipe_fds[2];
-  if (pipe(pipe_fds) != 0) {
+  if (pipe2(pipe_fds, O_CLOEXEC) != 0) {
     close(listen_fd);
     return Status::IoError("pipe() failed");
   }
@@ -683,7 +687,7 @@ Status RunTcpServer(LineService* service, const ServeOptions& options) {
   // accept loop to reap them — and, when the server was at max_conns, to put
   // the listen socket back into the poll set.
   int conn_event_fds[2];
-  if (pipe(conn_event_fds) != 0) {
+  if (pipe2(conn_event_fds, O_CLOEXEC) != 0) {
     close(listen_fd);
     close(pipe_fds[0]);
     close(pipe_fds[1]);
@@ -780,7 +784,8 @@ Status RunTcpServer(LineService* service, const ServeOptions& options) {
       reap_finished();
     }
     if (!at_capacity && (poll_fds[2].revents & POLLIN) != 0) {
-      const int conn_fd = accept(listen_fd, nullptr, nullptr);
+      const int conn_fd =
+          accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
       if (conn_fd < 0) continue;
       // Replies are written whole; without NODELAY a client that delays its
       // ACKs would see each reply held back by Nagle's algorithm.

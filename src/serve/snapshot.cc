@@ -4,9 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string_view>
-#include <thread>
 
-#include "parallel/parallel_for.h"
 #include "predict/gds.h"
 #include "predict/role_similarity.h"
 #include "util/atomic_io.h"
@@ -351,11 +349,18 @@ std::string EncodeSnapshot(const Snapshot& snap) {
   w.PutU32(snap.role_dim);
   w.PutDoubleVec(snap.role_vectors);
 
-  w.PutU64(Fnv1a64(w.bytes(), kFnvLegacyBasis));
+  w.PutU64(SealHash(w.bytes()));
   return w.TakeBytes();
 }
 
 namespace {
+
+Status UnsupportedVersion(uint32_t version) {
+  return Status::InvalidArgument(
+      "unsupported snapshot version " + std::to_string(version) +
+      " (this build reads version " + std::to_string(kSnapshotVersion) +
+      "; repack with `lamo pack`)");
+}
 
 // The field decode behind the checksum: version, then every section in
 // file order, each count and id checked against the bytes left and its
@@ -364,12 +369,7 @@ StatusOr<Snapshot> DecodeBody(std::string_view body) {
   ByteReader in(body);
   in.GetBytes(sizeof kSnapshotMagic, "magic");  // already validated
   const uint32_t version = in.GetU32();
-  if (version != kSnapshotVersion) {
-    return Status::InvalidArgument(
-        "unsupported snapshot version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kSnapshotVersion) +
-        "; repack with `lamo pack`)");
-  }
+  if (version != kSnapshotVersion) return UnsupportedVersion(version);
 
   Snapshot snap;
 
@@ -602,23 +602,17 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
   const uint64_t stored =
       ByteReader(std::string_view(bytes).substr(body.size())).GetU64();
 
-  // The checksum and the field decode read the same body independently, so
-  // with a second thread the checksum runs on a helper beside the decode
-  // (at one thread, or inside a parallel region, it runs inline first).
-  // The decode stays on the calling thread, so every load allocates the
-  // snapshot in that thread's malloc arena, and the helper is joined here.
-  // Either way a checksum mismatch is reported ahead of any decode or
-  // version error.
-  uint64_t actual = 0;
-  std::jthread checksum;
-  if (ThreadCount() > 1 && !InParallelRegion()) {
-    checksum = std::jthread([&] { actual = Fnv1a64(body, kFnvLegacyBasis); });
-  } else {
-    actual = Fnv1a64(body, kFnvLegacyBasis);
-  }
-  StatusOr<Snapshot> decoded = DecodeBody(body);
-  if (checksum.joinable()) checksum.join();
+  // The seal is checked before the field decode, so a damaged file reports
+  // a checksum mismatch ahead of any version or decode error. A version-3
+  // file is sealed with FNV-1a instead: it names its version.
+  const uint64_t actual = SealHash(body);
   if (stored != actual) {
+    constexpr uint32_t kFnvSealedVersion = 3;
+    if (ByteReader(body.substr(sizeof kSnapshotMagic)).GetU32() ==
+            kFnvSealedVersion &&
+        Fnv1a64(body, kFnvLegacyBasis) == stored) {
+      return UnsupportedVersion(kFnvSealedVersion);
+    }
     char msg[96];
     std::snprintf(msg, sizeof msg,
                   "snapshot checksum mismatch (stored %016llx, computed "
@@ -627,6 +621,7 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
                   static_cast<unsigned long long>(actual));
     return Status::Corruption(msg);
   }
+  StatusOr<Snapshot> decoded = DecodeBody(body);
   if (decoded.ok()) decoded->checksum = actual;
   return decoded;
 }

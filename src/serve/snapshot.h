@@ -38,8 +38,9 @@ inline constexpr char kSnapshotMagic[8] = {'L', 'A', 'M', 'O',
 /// added the shard section (num_shards, shard_id) right after the version
 /// word; version 3 added the predictor section (precomputed GDS signature
 /// and role-vector matrices) between the prediction context and the
-/// checksum; see docs/FORMATS.md.
-inline constexpr uint32_t kSnapshotVersion = 3;
+/// checksum; version 4 seals the file with SealHash instead of FNV-1a; see
+/// docs/FORMATS.md.
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 /// One motif site a protein appears at: `motifs[motif]`'s canonical vertex
 /// `vertex`. The snapshot stores the index that BuildSiteIndex builds.
@@ -92,7 +93,7 @@ struct Snapshot {
   uint32_t shard_id = 0;
 
   /// Identity, filled by DecodeSnapshot/ReadSnapshot (not serialized): the
-  /// file's trailing FNV-1a checksum and the path it was loaded from.
+  /// file's trailing seal (SealHash) and the path it was loaded from.
   /// Surfaced by STATS so operators (and the router) can verify which model
   /// a backend is serving after a rolling reload.
   uint64_t checksum = 0;
@@ -127,7 +128,7 @@ Snapshot BuildSnapshot(Graph graph, Ontology ontology,
                        const InformativeConfig& informative_config);
 
 /// Serializes `snapshot` to its canonical byte string (magic, version,
-/// sections, trailing FNV-1a checksum). Byte-reproducible for equal inputs.
+/// sections, trailing SealHash seal). Byte-reproducible for equal inputs.
 std::string EncodeSnapshot(const Snapshot& snapshot);
 
 /// Parses a byte string produced by EncodeSnapshot. Corrupt input (short

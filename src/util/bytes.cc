@@ -51,4 +51,40 @@ uint64_t Fnv1a64(std::string_view bytes, uint64_t seed) {
   return h;
 }
 
+namespace {
+
+constexpr uint64_t kSealP1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kSealP2 = 0xc2b2ae3d27d4eb4full;
+constexpr uint64_t kSealP3 = 0x165667b19e3779f9ull;
+constexpr uint64_t kSealP4 = 0x85ebca77c2b2ae63ull;
+
+uint64_t SealRound(uint64_t acc, uint64_t word) {
+  return std::rotl(acc + word * kSealP2, 31) * kSealP1;
+}
+
+}  // namespace
+
+uint64_t SealHash(std::string_view bytes) {
+  const char* p = bytes.data();
+  const size_t blocks = bytes.size() / 32;
+  uint64_t lane[4] = {kSealP1 + kSealP2, kSealP2, 0, 0 - kSealP1};
+  for (size_t b = 0; b < blocks; ++b, p += 32) {
+    uint64_t word[4];
+    std::memcpy(word, p, sizeof word);
+    for (int i = 0; i < 4; ++i) lane[i] = SealRound(lane[i], word[i]);
+  }
+  uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+               std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+  for (const uint64_t acc : lane) {
+    h = (h ^ SealRound(0, acc)) * kSealP1 + kSealP4;
+  }
+  h = Fnv1a64(bytes.substr(blocks * 32), h + bytes.size());
+  h ^= h >> 33;
+  h *= kSealP2;
+  h ^= h >> 29;
+  h *= kSealP3;
+  h ^= h >> 32;
+  return h;
+}
+
 }  // namespace lamo

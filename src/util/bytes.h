@@ -181,15 +181,24 @@ class ByteReader {
 };
 
 /// FNV-1a 64-bit over `bytes`, seeded by `seed` (chain calls to hash several
-/// fields). The checkpoint and snapshot checksums, config fingerprints and
-/// the router's placement hash.
+/// fields). The checkpoint checksum, config fingerprints and the router's
+/// placement hash.
 uint64_t Fnv1a64(std::string_view bytes,
                  uint64_t seed = 0xcbf29ce484222325ull);
 
-/// The offset basis the snapshot checksum and RouterHash were first written
+/// The offset basis RouterHash and the version-3 snapshot seal were written
 /// with: the standard 14695981039346656037 with its last decimal digit
-/// dropped. Kept so existing snapshots verify and shard placement holds.
+/// dropped. Kept so shard placement holds and a version-3 snapshot can be
+/// told from a damaged one.
 inline constexpr uint64_t kFnvLegacyBasis = 1469598103934665603ull;
+
+/// The snapshot seal (docs/FORMATS.md §Integrity): little-endian u64 words
+/// in 32-byte blocks over four independent lanes, each step
+/// `acc = rotl(acc + w * P2, 31) * P1` (an xxHash64-style round, not
+/// XXH64-compatible); the lanes fold with the length, FNV-1a takes the
+/// tail of fewer than 32 bytes, and an avalanche step finishes. Each lane
+/// step is bijective in its word, so a flipped bit always changes its lane.
+uint64_t SealHash(std::string_view bytes);
 
 }  // namespace lamo
 

@@ -15,7 +15,9 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_for.h"
@@ -229,6 +231,71 @@ TEST_F(RouterClusterTest, ReplicatedFailoverWhileBackendDown) {
     EXPECT_EQ(router.Handle(line), local.Handle(line)) << line;
   }
   EXPECT_EQ(router.stats().errors.load(), 0u);
+  cluster.Stop();
+}
+
+/// The pipes and sockets process `pid` holds on descriptors >= `min_fd`,
+/// by their /proc link targets (e.g. "socket:[4711]"), which two processes
+/// share exactly when they share the open file.
+std::set<std::string> OpenPipesAndSockets(pid_t pid, int min_fd) {
+  std::set<std::string> files;
+  std::error_code ec;
+  const std::filesystem::path dir =
+      "/proc/" + std::to_string(pid) + "/fd";
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (std::stoi(entry.path().filename().string()) < min_fd) continue;
+    const std::string target =
+        std::filesystem::read_symlink(entry.path(), ec).string();
+    if (target.rfind("socket:", 0) == 0 || target.rfind("pipe:", 0) == 0) {
+      files.insert(target);
+    }
+  }
+  return files;
+}
+
+TEST_F(RouterClusterTest, BackendsInheritOnlyTheirStdout) {
+  // Everything the router opens -- the stdout pipes of the other backends,
+  // pooled backend connections, the listening socket, the self-pipes and
+  // client connections -- is close-on-exec, so a backend holds none of it:
+  // otherwise a respawned backend would keep a reaped client's socket open
+  // and the client would never see EOF.
+  const std::set<std::string> before = OpenPipesAndSockets(getpid(), 0);
+  Cluster cluster(Options(2, /*sharded=*/true));
+  ASSERT_TRUE(cluster.Start().ok());
+  RouterService router(&cluster, /*sharded=*/true);
+  SnapshotService local(TestSnapshot());
+  TestServer server(ServeOptions(), &router);
+  Client client(server.port());
+  for (const char* line : {"PREDICT 0 3", "PREDICT 1 3"}) {
+    client.Send(std::string(line) + "\n");
+    EXPECT_EQ(client.RecvResponse(), local.Handle(line)) << line;
+  }
+
+  // Respawn backend 0 while all of that is open.
+  const pid_t victim = cluster.backend(0).pid();
+  ASSERT_EQ(kill(victim, SIGKILL), 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!(cluster.backend(0).respawns() >= 1 &&
+           cluster.backend(0).state() == BackendState::kUp) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(cluster.backend(0).state(), BackendState::kUp);
+  ASSERT_NE(cluster.backend(0).pid(), victim);
+
+  std::set<std::string> router_files = OpenPipesAndSockets(getpid(), 0);
+  for (const std::string& file : before) router_files.erase(file);
+  ASSERT_FALSE(router_files.empty());
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    // From fd 3: stdin and stderr are shared by design, stdout is the pipe
+    // the router reads.
+    for (const std::string& file :
+         OpenPipesAndSockets(cluster.backend(i).pid(), 3)) {
+      EXPECT_EQ(router_files.count(file), 0u)
+          << "backend " << i << " inherited the router's " << file;
+    }
+  }
   cluster.Stop();
 }
 

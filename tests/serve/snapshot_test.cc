@@ -17,20 +17,26 @@
 namespace lamo {
 namespace {
 
-// The FNV-1a 64 the codec seals with; lets corruption tests patch a body
-// byte and then re-seal the file so the damage reaches the structural
-// validators behind the checksum gate.
-uint64_t Fnv1a64(const char* data, size_t n) {
-  return lamo::Fnv1a64(std::string_view(data, n), kFnvLegacyBasis);
+// FNV-1a 64 with the legacy basis: the version-3 seal, and the hash the
+// recorded-bytes test pins the encoding with.
+uint64_t LegacyFnv(std::string_view bytes) {
+  return Fnv1a64(bytes, kFnvLegacyBasis);
 }
 
-// Recomputes and rewrites the trailing checksum over bytes[0, size-8).
-void Reseal(std::string* bytes) {
+// Rewrites the trailing 8 bytes with `seal`.
+void WriteSeal(std::string* bytes, uint64_t seal) {
   const size_t body = bytes->size() - 8;
-  const uint64_t h = Fnv1a64(bytes->data(), body);
   for (int i = 0; i < 8; ++i) {
-    (*bytes)[body + i] = static_cast<char>((h >> (8 * i)) & 0xff);
+    (*bytes)[body + i] = static_cast<char>((seal >> (8 * i)) & 0xff);
   }
+}
+
+// Recomputes the seal over bytes[0, size-8), so corruption tests can patch
+// a body byte and still reach the structural validators behind the
+// checksum gate.
+void Reseal(std::string* bytes) {
+  WriteSeal(bytes, SealHash(std::string_view(*bytes).substr(
+                       0, bytes->size() - 8)));
 }
 
 class SnapshotTest : public ::testing::Test {
@@ -63,13 +69,16 @@ TEST_F(SnapshotTest, EncodingIsByteReproducible) {
   EXPECT_EQ(*encoded_, EncodeSnapshot(TestSnapshot()));
 }
 
-// Size and hash (the Fnv1a64 above) of the fixture's encoding as recorded
-// from the build that stored one heap vector per occurrence: flat
-// occurrence lists must not move a byte of the snapshot format.
+// Size and hashes (LegacyFnv above) of the fixture's encoding. The size
+// and the hash of bytes [12, size-8) -- everything between the version word
+// and the seal -- were recorded from the version-3 build: version 4 moved
+// only the version and the seal. The whole-file hash pins those too.
 TEST_F(SnapshotTest, EncodingMatchesRecordedBytes) {
   EXPECT_EQ(encoded_->size(), 675427u);
-  EXPECT_EQ(Fnv1a64(encoded_->data(), encoded_->size()),
-            0x13197e88a0f1029aULL);
+  EXPECT_EQ(LegacyFnv(std::string_view(*encoded_).substr(
+                12, encoded_->size() - 20)),
+            0xe57e832c7fdc3015ULL);
+  EXPECT_EQ(LegacyFnv(*encoded_), 0xd538057037a573b9ULL);
 }
 
 TEST_F(SnapshotTest, RoundTripPreservesEverything) {
@@ -204,8 +213,8 @@ TEST_F(SnapshotTest, RejectsBadMagic) {
 }
 
 TEST_F(SnapshotTest, RejectsUnsupportedVersion) {
-  // Both a future format and the previous one (version 2, which had no
-  // predictor section): this build reads kSnapshotVersion only.
+  // Both a future format and the previous one (version 3): this build reads
+  // kSnapshotVersion only.
   for (const uint32_t bad : {kSnapshotVersion + 1, kSnapshotVersion - 1}) {
     std::string bytes = *encoded_;
     bytes[8] = static_cast<char>(bad);  // u32 LE low byte
@@ -215,6 +224,28 @@ TEST_F(SnapshotTest, RejectsUnsupportedVersion) {
     EXPECT_NE(result.status().message().find("version"), std::string::npos)
         << result.status().ToString();
   }
+}
+
+TEST_F(SnapshotTest, NamesTheVersionOfAVersion3File) {
+  // A version-3 file is sealed with FNV-1a: it is reported as the old
+  // version it is, not as a damaged file.
+  std::string v3 = *encoded_;
+  v3[8] = 3;
+  WriteSeal(&v3, LegacyFnv(std::string_view(v3).substr(0, v3.size() - 8)));
+  const auto old = DecodeSnapshot(v3);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(old.status().message(),
+            "unsupported snapshot version 3 (this build reads version 4; "
+            "repack with `lamo pack`)");
+
+  // Damage under a version-3 FNV seal is still damage.
+  v3[100] = static_cast<char>(v3[100] ^ 0x01);
+  const auto damaged = DecodeSnapshot(v3);
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_NE(damaged.status().message().find("checksum mismatch"),
+            std::string::npos)
+      << damaged.status().ToString();
 }
 
 // ---- predictor-section corruption ------------------------------------------
@@ -275,9 +306,8 @@ TEST_F(SnapshotTest, RejectsBitFlips) {
   }
 }
 
-// The checksum runs beside the field decode when there are threads to run
-// it on; either way a damaged body must report the checksum, and a resealed
-// one the decode error.
+// A load takes one path at any thread count: a damaged body must report the
+// checksum, and a resealed one the decode error.
 class SnapshotThreadsTest : public SnapshotTest,
                             public ::testing::WithParamInterface<size_t> {
  protected:
@@ -318,9 +348,8 @@ TEST_P(SnapshotThreadsTest, IntactBytesDecodeWithTheirChecksum) {
   const auto decoded = DecodeSnapshot(*encoded_);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->checksum,
-            lamo::Fnv1a64(std::string_view(*encoded_).substr(
-                              0, encoded_->size() - 8),
-                          kFnvLegacyBasis));
+            SealHash(std::string_view(*encoded_).substr(
+                0, encoded_->size() - 8)));
   EXPECT_EQ(EncodeSnapshot(*decoded), *encoded_);
 }
 

@@ -78,7 +78,9 @@ class TestServer {
 class Client {
  public:
   explicit Client(uint16_t port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    // Close-on-exec, like the servers' own sockets, so a process a test
+    // server forks does not hold it open.
+    fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     EXPECT_GE(fd_, 0);
     timeval timeout{10, 0};
     setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);

@@ -1,7 +1,8 @@
 // The shared binary codec (util/bytes.h): round-trips, and the latching
 // reader's contract — the first failure sticks with its offset, later
 // getters return 0 or empty, counts are checked before anything is
-// allocated, and a read that ends exactly at the last byte succeeds.
+// allocated, and a read that ends exactly at the last byte succeeds. Plus
+// the two hashes: FNV-1a and the snapshot seal.
 #include "util/bytes.h"
 
 #include <gtest/gtest.h>
@@ -236,6 +237,61 @@ TEST(Fnv1a64Test, MatchesReferenceValues) {
   // Chaining equals hashing the concatenation.
   EXPECT_EQ(Fnv1a64("bar", Fnv1a64("foo")), Fnv1a64("foobar"));
   EXPECT_EQ(Fnv1a64("", kFnvLegacyBasis), kFnvLegacyBasis);
+}
+
+// `size` bytes of a fixed, irregular pattern.
+std::string SealInput(size_t size) {
+  std::string bytes(size, '\0');
+  for (size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<char>((i * 131 + 7) ^ (i >> 3));
+  }
+  return bytes;
+}
+
+TEST(SealHashTest, MatchesRecordedValues) {
+  // Recorded from this implementation: the snapshot seal is part of the
+  // file format, so these must never move. The lengths cover the tail-only
+  // path, one block exactly, and blocks plus a tail.
+  EXPECT_EQ(SealHash(""), 0x3fdf455f9dcf1e62ull);
+  EXPECT_EQ(SealHash("a"), 0x06e20623e1c594f2ull);
+  EXPECT_EQ(SealHash(SealInput(32)), 0xaa0bd4b60f1fda14ull);
+  EXPECT_EQ(SealHash(SealInput(97)), 0x6067809ec0467938ull);
+  EXPECT_EQ(SealHash(SealInput(4096)), 0xc0e74c1639cdd6d5ull);
+}
+
+TEST(SealHashTest, EveryOneAndTwoBitFlipChangesTheSeal) {
+  // Lengths 0-97 cover the tail alone, whole blocks, and blocks plus every
+  // tail length; each flip or pair of flips anywhere must change the seal.
+  size_t unchanged = 0;
+  for (size_t size = 0; size <= 97; ++size) {
+    std::string bytes = SealInput(size);
+    const uint64_t seal = SealHash(bytes);
+    const size_t bits = 8 * size;
+    for (size_t i = 0; i < bits; ++i) {
+      bytes[i / 8] = static_cast<char>(bytes[i / 8] ^ (1 << (i % 8)));
+      if (SealHash(bytes) == seal) ++unchanged;
+      for (size_t j = i + 1; j < bits; ++j) {
+        bytes[j / 8] = static_cast<char>(bytes[j / 8] ^ (1 << (j % 8)));
+        if (SealHash(bytes) == seal) ++unchanged;
+        bytes[j / 8] = static_cast<char>(bytes[j / 8] ^ (1 << (j % 8)));
+      }
+      bytes[i / 8] = static_cast<char>(bytes[i / 8] ^ (1 << (i % 8)));
+    }
+  }
+  EXPECT_EQ(unchanged, 0u);
+}
+
+TEST(SealHashTest, LengthIsPartOfTheSeal) {
+  // Zero padding must not collide with the shorter input, across the
+  // tail and across a block boundary.
+  for (const size_t size : {size_t{0}, size_t{5}, size_t{31}, size_t{32},
+                            size_t{63}}) {
+    const std::string bytes = SealInput(size);
+    EXPECT_NE(SealHash(bytes), SealHash(bytes + std::string(1, '\0')))
+        << size;
+    EXPECT_NE(SealHash(bytes), SealHash(bytes + std::string(32, '\0')))
+        << size;
+  }
 }
 
 }  // namespace
