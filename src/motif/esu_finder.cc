@@ -5,7 +5,6 @@
 #include <map>
 #include <unordered_map>
 
-#include "graph/generators.h"
 #include "motif/esu.h"
 #include "motif/esu_engine.h"
 #include "motif/stage_checkpoint.h"
@@ -14,7 +13,6 @@
 #include "parallel/parallel_for.h"
 #include "util/fault.h"
 #include "util/logging.h"
-#include "util/random.h"
 
 namespace lamo {
 namespace {
@@ -22,15 +20,8 @@ namespace {
 const size_t kObsSubgraphs = ObsCounterId("esu.subgraphs");
 const size_t kObsCanonHits = ObsCounterId("esu.canon_cache_hits");
 const size_t kObsCanonMisses = ObsCounterId("esu.canon_cache_misses");
-const size_t kObsReplicates = ObsCounterId("uniqueness.replicates");
-const size_t kObsPatternTests = ObsCounterId("uniqueness.pattern_tests");
-/// Same per-item instruments as the dedicated mining/uniqueness passes: the
-/// ESU finder runs both phases internally, so its chunks and replicates feed
-/// the shared histograms and span names.
 const size_t kHistChunkUs = ObsHistogramId("esu.chunk_us");
 const size_t kSpanChunk = ObsSpanId("esu.chunk");
-const size_t kHistReplicateUs = ObsHistogramId("uniqueness.replicate_us");
-const size_t kSpanReplicate = ObsSpanId("uniqueness.replicate");
 
 /// Crash points, one per checkpoint group of each half (fault.h).
 const size_t kFpEnumChunk = FaultPointId("mine.enum.chunk");
@@ -55,10 +46,10 @@ uint64_t EsuFingerprint(const Graph& graph, const EsuMotifConfig& config) {
   ByteWriter w;
   w.PutU64(config.size);
   w.PutU64(config.min_frequency);
-  w.PutU64(config.num_random_networks);
-  w.PutDouble(config.swaps_per_edge);
+  w.PutU64(config.uniqueness.num_random_networks);
+  w.PutDouble(config.uniqueness.swaps_per_edge);
   w.PutDouble(config.uniqueness_threshold);
-  w.PutU64(config.seed);
+  w.PutU64(config.uniqueness.seed);
   w.PutU64(GraphFingerprint(graph));
   return Fnv1a64(w.bytes());
 }
@@ -189,110 +180,41 @@ std::vector<Motif> FindNetworkMotifsEsu(const Graph& graph,
     }
   }
 
-  for (auto it = classes.begin(); it != classes.end();) {
-    if (it->second.occurrences.size() < config.min_frequency) {
-      it = classes.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  LAMO_LOG(Debug) << classes.size() << " size-" << config.size
-                  << " classes pass frequency >= " << config.min_frequency;
-
-  // Uniqueness ensemble: one randomized network per task, each on its own
-  // deterministic Rng substream so the ensemble is identical whether the
-  // replicates run serially, in parallel, or split across a resumed run
-  // (the per-class win counts are exact integer sums, so replicate groups
-  // accumulate in any grouping to the same totals).
-  std::map<std::vector<uint8_t>, size_t> wins;
-  {
-    const ScopedTimer timer("uniqueness");
-    std::vector<const std::vector<uint8_t>*> codes;
-    std::vector<size_t> real_frequencies;
-    codes.reserve(classes.size());
-    for (const auto& [code, entry] : classes) {
-      codes.push_back(&code);
-      real_frequencies.push_back(entry.occurrences.size());
-    }
-    const StageCheckpointer ckpt(config.checkpoint, "mine_uniq_" + size_tag,
-                                 fingerprint);
-    std::vector<uint64_t> win_counts(codes.size(), 0);
-    size_t next_replicate = 0;
-    std::string payload;
-    if (ckpt.TryLoad(&payload)) {
-      size_t restored_replicate = 0;
-      std::vector<uint64_t> restored;
-      const Status status = DecodeWinState(payload, codes.size(),
-                                           &restored_replicate, &restored);
-      if (status.ok() && restored_replicate <= config.num_random_networks) {
-        win_counts = std::move(restored);
-        next_replicate = restored_replicate;
-      } else {
-        ckpt.RecordDecodeFailure();
-      }
-    }
-    ckpt.RecordChunks(config.num_random_networks, next_replicate);
-    const size_t replicates_per_group =
-        ckpt.enabled() ? std::max<size_t>(1, config.checkpoint.every)
-                       : std::max<size_t>(1, config.num_random_networks);
-    for (size_t rlo = next_replicate; rlo < config.num_random_networks;
-         rlo += replicates_per_group) {
-      FaultHit(kFpUniqReplicate);
-      const size_t rhi =
-          std::min(config.num_random_networks, rlo + replicates_per_group);
-      const auto replicate_wins = ParallelMap(rhi - rlo, 1, [&](size_t i) {
-        const size_t r = rlo + i;
-        const ScopedItemTimer item(kSpanReplicate, kHistReplicateUs, r, 0, 1);
-        ObsIncrement(kObsReplicates);
-        ObsAdd(kObsPatternTests, codes.size());
-        Rng rng = Rng::Stream(config.seed, r);
-        const Graph randomized =
-            DegreePreservingRewire(graph, config.swaps_per_edge, rng);
-        // Replicates resolve canonical codes through the run-wide shared
-        // table: the randomized networks repeat the same adjacency patterns
-        // as the real one, so past the first replicate virtually every
-        // pattern is already resident.
-        const auto random_counts =
-            CountSubgraphClasses(randomized, config.size, shared_canon);
-        std::vector<uint8_t> won(codes.size(), 0);
-        for (size_t c = 0; c < codes.size(); ++c) {
-          auto it = random_counts.find(*codes[c]);
-          const size_t random_frequency =
-              it == random_counts.end() ? 0 : it->second;
-          won[c] = real_frequencies[c] >= random_frequency ? 1 : 0;
-        }
-        return won;
-      });
-      for (const auto& won : replicate_wins) {
-        for (size_t c = 0; c < codes.size(); ++c) win_counts[c] += won[c];
-      }
-      if (ckpt.enabled()) ckpt.Save(EncodeWinState(rhi, win_counts));
-    }
-    for (size_t c = 0; c < codes.size(); ++c) {
-      wins[*codes[c]] = static_cast<size_t>(win_counts[c]);
-    }
-  }
-
   std::vector<Motif> motifs;
   for (auto& [code, entry] : classes) {
-    const double uniqueness =
-        config.num_random_networks == 0
-            ? -1.0
-            : static_cast<double>(wins[code]) /
-                  static_cast<double>(config.num_random_networks);
-    if (config.num_random_networks > 0 &&
-        uniqueness < config.uniqueness_threshold) {
-      continue;
-    }
+    if (entry.occurrences.size() < config.min_frequency) continue;
     Motif motif;
     motif.pattern = entry.pattern;
     motif.code = code;
     motif.frequency = entry.occurrences.size();
-    motif.uniqueness = uniqueness;
     motif.occurrences = std::move(entry.occurrences);
     motifs.push_back(std::move(motif));
   }
-  return motifs;
+  classes.clear();  // frees the infrequent classes before the ensemble
+  LAMO_LOG(Debug) << motifs.size() << " size-" << config.size
+                  << " classes pass frequency >= " << config.min_frequency;
+
+  {
+    const ScopedTimer timer("uniqueness");
+    // Replicates resolve canonical codes through the run-wide shared table:
+    // the randomized networks repeat the same adjacency patterns as the real
+    // one, so past the first replicate virtually every pattern is resident.
+    ScoreUniqueness(
+        graph, config.uniqueness, config.checkpoint, "mine_uniq_" + size_tag,
+        fingerprint, kFpUniqReplicate,
+        [&](const Graph& randomized) {
+          const auto census =
+              CountSubgraphClasses(randomized, config.size, shared_canon);
+          std::vector<size_t> counts(motifs.size(), 0);
+          for (size_t m = 0; m < motifs.size(); ++m) {
+            const auto it = census.find(motifs[m].code);
+            if (it != census.end()) counts[m] = it->second;
+          }
+          return counts;
+        },
+        &motifs);
+  }
+  return FilterUnique(std::move(motifs), config.uniqueness_threshold);
 }
 
 }  // namespace lamo

@@ -5,6 +5,7 @@
 
 #include "graph/graph.h"
 #include "motif/motif.h"
+#include "motif/uniqueness.h"
 #include "util/checkpoint.h"
 
 namespace lamo {
@@ -16,14 +17,11 @@ struct EsuMotifConfig {
   size_t size = 4;
   /// Minimum occurrences for a class to be considered repeated.
   size_t min_frequency = 5;
-  /// Randomized networks for the uniqueness test.
-  size_t num_random_networks = 10;
-  /// Edge swaps per edge when randomizing.
-  double swaps_per_edge = 3.0;
+  /// The uniqueness ensemble.
+  UniquenessConfig uniqueness;
   /// Classes below this uniqueness are dropped. Negative keeps everything
   /// (uniqueness still reported).
   double uniqueness_threshold = 0.95;
-  uint64_t seed = 42;
   /// Crash-safe progress saves: the enumeration checkpoints per root-vertex
   /// chunk group (stage "mine_enum_<size>") and the uniqueness ensemble per
   /// replicate group (stage "mine_uniq_<size>"). Resumed runs are
@@ -33,12 +31,10 @@ struct EsuMotifConfig {
 
 /// The FANMOD/mfinder route to network motifs: exhaustively enumerate all
 /// connected size-k subgraphs with ESU, group them by canonical class, then
-/// score uniqueness by re-enumerating each randomized network once and
-/// comparing *all* class counts simultaneously. For small k this beats the
-/// level-wise miner + per-motif VF2 counting (one enumeration per network
-/// covers every candidate class); the level-wise miner wins when k is large
-/// or only high-frequency patterns matter. The two pipelines cross-validate
-/// each other in tests and are raced in bench_micro.
+/// score uniqueness on the shared ensemble (ScoreUniqueness) with a counter
+/// that census-counts each randomized network once, comparing *all* class
+/// counts at a time. The two routes cross-validate each other in tests and
+/// are raced in bench_micro.
 ///
 /// Occurrences are aligned to the canonical vertex order, so the result
 /// feeds LaMoFinder directly.

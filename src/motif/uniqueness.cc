@@ -4,13 +4,13 @@
 
 #include "graph/generators.h"
 #include "graph/isomorphism.h"
-#include "motif/miner.h"
 #include "motif/stage_checkpoint.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "util/fault.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace lamo {
 namespace {
@@ -23,7 +23,7 @@ const size_t kObsPatternTests = ObsCounterId("uniqueness.pattern_tests");
 const size_t kHistReplicateUs = ObsHistogramId("uniqueness.replicate_us");
 const size_t kSpanReplicate = ObsSpanId("uniqueness.replicate");
 
-/// Crash point, hit once per replicate group (fault.h).
+/// Crash point of the level-wise route, hit once per replicate group.
 const size_t kFpReplicate = FaultPointId("uniqueness.replicate");
 
 uint64_t UniquenessFingerprint(const Graph& graph,
@@ -46,18 +46,18 @@ uint64_t UniquenessFingerprint(const Graph& graph,
 
 }  // namespace
 
-void EvaluateUniqueness(const Graph& graph, const UniquenessConfig& config,
-                        std::vector<Motif>* motifs) {
+void ScoreUniqueness(const Graph& graph, const UniquenessConfig& config,
+                     const CheckpointOptions& checkpoint,
+                     const std::string& stage, uint64_t fingerprint,
+                     size_t fault_point, const ReplicateCounter& count,
+                     std::vector<Motif>* motifs) {
   LAMO_CHECK(motifs != nullptr);
-  if (motifs->empty() || config.num_random_networks == 0) return;
-  // One randomized network per task. Each replicate r draws from its own
-  // deterministic substream Rng::Stream(seed, r), so the ensemble — and the
-  // resulting uniqueness scores — is identical for any thread count, and a
-  // run resumed from a replicate-group checkpoint accumulates the exact
-  // integer win counts an uninterrupted run would.
-  const StageCheckpointer ckpt(
-      config.checkpoint, "uniqueness",
-      UniquenessFingerprint(graph, config, *motifs));
+  const size_t networks = config.num_random_networks;
+  if (motifs->empty() || networks == 0) return;
+  // The win counts are exact integer sums of per-replicate indicators, so
+  // replicate groups accumulate to the same totals in any grouping, and a
+  // run resumed from a group checkpoint matches an uninterrupted one.
+  const StageCheckpointer ckpt(checkpoint, stage, fingerprint);
   std::vector<uint64_t> wins(motifs->size(), 0);
   size_t next_replicate = 0;
   std::string payload;
@@ -66,38 +66,31 @@ void EvaluateUniqueness(const Graph& graph, const UniquenessConfig& config,
     std::vector<uint64_t> restored;
     const Status status = DecodeWinState(payload, motifs->size(),
                                          &restored_replicate, &restored);
-    if (status.ok() && restored_replicate <= config.num_random_networks) {
+    if (status.ok() && restored_replicate <= networks) {
       wins = std::move(restored);
       next_replicate = restored_replicate;
     } else {
       ckpt.RecordDecodeFailure();
     }
   }
-  ckpt.RecordChunks(config.num_random_networks, next_replicate);
+  ckpt.RecordChunks(networks, next_replicate);
   const size_t replicates_per_group =
-      ckpt.enabled() ? std::max<size_t>(1, config.checkpoint.every)
-                     : config.num_random_networks;
-  for (size_t rlo = next_replicate; rlo < config.num_random_networks;
+      ckpt.enabled() ? std::max<size_t>(1, checkpoint.every) : networks;
+  for (size_t rlo = next_replicate; rlo < networks;
        rlo += replicates_per_group) {
-    FaultHit(kFpReplicate);
-    const size_t rhi =
-        std::min(config.num_random_networks, rlo + replicates_per_group);
+    FaultHit(fault_point);
+    const size_t rhi = std::min(networks, rlo + replicates_per_group);
     const auto replicate_wins = ParallelMap(rhi - rlo, 1, [&](size_t i) {
       const size_t r = rlo + i;
       const ScopedItemTimer item(kSpanReplicate, kHistReplicateUs, r, 0, 1);
       ObsIncrement(kObsReplicates);
       ObsAdd(kObsPatternTests, motifs->size());
       Rng rng = Rng::Stream(config.seed, r);
-      const Graph randomized =
-          DegreePreservingRewire(graph, config.swaps_per_edge, rng);
+      const std::vector<size_t> random_counts =
+          count(DegreePreservingRewire(graph, config.swaps_per_edge, rng));
       std::vector<uint8_t> won(motifs->size(), 0);
       for (size_t m = 0; m < motifs->size(); ++m) {
-        const Motif& motif = (*motifs)[m];
-        // We only need to know whether the randomized frequency exceeds
-        // the real one, so counting may stop at frequency+1 occurrences.
-        const size_t random_frequency =
-            CountOccurrences(motif.pattern, randomized, motif.frequency + 1);
-        won[m] = motif.frequency >= random_frequency ? 1 : 0;
+        won[m] = (*motifs)[m].frequency >= random_counts[m] ? 1 : 0;
       }
       return won;
     });
@@ -106,16 +99,36 @@ void EvaluateUniqueness(const Graph& graph, const UniquenessConfig& config,
     }
     if (ckpt.enabled()) ckpt.Save(EncodeWinState(rhi, wins));
   }
-  for (size_t i = 0; i < motifs->size(); ++i) {
-    (*motifs)[i].uniqueness = static_cast<double>(wins[i]) /
-                              static_cast<double>(config.num_random_networks);
+  for (size_t m = 0; m < motifs->size(); ++m) {
+    (*motifs)[m].uniqueness =
+        static_cast<double>(wins[m]) / static_cast<double>(networks);
   }
+}
+
+void EvaluateUniqueness(const Graph& graph, const UniquenessConfig& config,
+                        std::vector<Motif>* motifs,
+                        const CheckpointOptions& checkpoint) {
+  LAMO_CHECK(motifs != nullptr);
+  const std::vector<Motif>& list = *motifs;
+  ScoreUniqueness(
+      graph, config, checkpoint, "uniqueness",
+      UniquenessFingerprint(graph, config, list), kFpReplicate,
+      [&list](const Graph& randomized) {
+        std::vector<size_t> counts(list.size());
+        for (size_t m = 0; m < list.size(); ++m) {
+          counts[m] = CountOccurrences(list[m].pattern, randomized,
+                                       list[m].frequency + 1);
+        }
+        return counts;
+      },
+      motifs);
 }
 
 std::vector<Motif> FilterUnique(std::vector<Motif> motifs, double threshold) {
   motifs.erase(std::remove_if(motifs.begin(), motifs.end(),
                               [&](const Motif& m) {
-                                return m.uniqueness < threshold;
+                                return m.uniqueness >= 0.0 &&
+                                       m.uniqueness < threshold;
                               }),
                motifs.end());
   return motifs;
@@ -123,16 +136,7 @@ std::vector<Motif> FilterUnique(std::vector<Motif> motifs, double threshold) {
 
 std::vector<Motif> FindNetworkMotifs(const Graph& graph,
                                      const MotifFindingConfig& config) {
-  MinerConfig miner_config;
-  miner_config.min_size = config.miner.min_size;
-  miner_config.max_size = config.miner.max_size;
-  miner_config.min_frequency = config.miner.min_frequency;
-  miner_config.max_occurrences_per_pattern =
-      config.miner.max_occurrences_per_pattern;
-  miner_config.max_patterns_per_level = config.miner.max_patterns_per_level;
-  miner_config.checkpoint = config.checkpoint;
-
-  FrequentSubgraphMiner miner(graph, miner_config);
+  FrequentSubgraphMiner miner(graph, config.miner);
   std::vector<Motif> motifs;
   {
     const ScopedTimer timer("miner");
@@ -141,9 +145,8 @@ std::vector<Motif> FindNetworkMotifs(const Graph& graph,
   LAMO_LOG(Info) << "mined " << motifs.size() << " frequent patterns";
   {
     const ScopedTimer timer("uniqueness");
-    UniquenessConfig uniq_config = config.uniqueness;
-    uniq_config.checkpoint = config.checkpoint;
-    EvaluateUniqueness(graph, uniq_config, &motifs);
+    EvaluateUniqueness(graph, config.uniqueness, &motifs,
+                       config.miner.checkpoint);
   }
   motifs = FilterUnique(std::move(motifs), config.uniqueness_threshold);
   LAMO_LOG(Info) << motifs.size() << " patterns pass uniqueness >= "

@@ -50,6 +50,10 @@ expect_usage_error "negative size" generate --proteins -5
 expect_usage_error "non-numeric double" mine --uniqueness high
 expect_usage_error "trailing junk" label --sigma 10x
 
+# Flags the chosen route would ignore.
+expect_usage_error "beam with esu" mine --graph x --algo esu --beam 10
+expect_usage_error "unknown algo" mine --graph x --algo foo
+
 # Stray positional arguments and unknown commands.
 expect_usage_error "stray positional" stats extra-arg
 expect_usage_error "unknown command" frobnicate

@@ -47,14 +47,14 @@ TEST(CheckpointBytesTest, EveryStageMatchesRecordedBytes) {
   motif_config.miner.min_frequency = 15;
   motif_config.uniqueness.num_random_networks = 3;
   motif_config.uniqueness_threshold = 0.0;
-  motif_config.checkpoint = checkpoint;
+  motif_config.miner.checkpoint = checkpoint;
   const std::vector<Motif> motifs =
       FindNetworkMotifs(dataset.ppi, motif_config);
   ASSERT_FALSE(motifs.empty());
 
   EsuMotifConfig esu_config;
   esu_config.min_frequency = 15;
-  esu_config.num_random_networks = 3;
+  esu_config.uniqueness.num_random_networks = 3;
   esu_config.uniqueness_threshold = -1.0;
   esu_config.checkpoint = checkpoint;
   for (const size_t size : {3, 4}) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "graph/canonical.h"
 #include "graph/generators.h"
 #include "motif/miner.h"
+#include "parallel/parallel_for.h"
 
 namespace lamo {
 namespace {
@@ -18,7 +22,7 @@ TEST(EsuFinderTest, AgreesWithLevelWiseMiner) {
   EsuMotifConfig esu_config;
   esu_config.size = 4;
   esu_config.min_frequency = 3;
-  esu_config.num_random_networks = 0;  // keep everything
+  esu_config.uniqueness.num_random_networks = 0;  // keep everything
   auto esu_motifs = FindNetworkMotifsEsu(g, esu_config);
 
   MinerConfig miner_config;
@@ -40,7 +44,7 @@ TEST(EsuFinderTest, OccurrencesAreAligned) {
   EsuMotifConfig config;
   config.size = 3;
   config.min_frequency = 1;
-  config.num_random_networks = 0;
+  config.uniqueness.num_random_networks = 0;
   for (const Motif& m : FindNetworkMotifsEsu(g, config)) {
     for (const std::span<const VertexId> occ : m.occurrences) {
       for (uint32_t a = 0; a < 3; ++a) {
@@ -79,9 +83,9 @@ TEST(EsuFinderTest, UniquenessFiltersCommonShapes) {
   EsuMotifConfig config;
   config.size = 4;
   config.min_frequency = 8;
-  config.num_random_networks = 10;
+  config.uniqueness.num_random_networks = 10;
   config.uniqueness_threshold = 0.9;
-  config.seed = 3;
+  config.uniqueness.seed = 3;
   const auto motifs = FindNetworkMotifsEsu(g, config);
 
   SmallGraph square(4);
@@ -97,13 +101,73 @@ TEST(EsuFinderTest, UniquenessFiltersCommonShapes) {
   EXPECT_TRUE(square_found);
 }
 
+TEST(EsuFinderTest, UniquenessAgreesWithLevelWiseRoute) {
+  // The routes count a randomized network differently (ESU class census vs
+  // VF2 capped at frequency + 1) on one shared ensemble. With no occurrence
+  // cap or beam in play, every class must get the same frequency and
+  // uniqueness from both, for any thread count. Planted squares in a random
+  // background (the builder drops duplicate edges and self-links) give
+  // classes that pass and classes that fail.
+  Rng rng(95);
+  GraphBuilder builder(70);
+  for (VertexId v = 0; v < 40; v += 4) {
+    for (VertexId i = 0; i < 4; ++i) {
+      ASSERT_TRUE(builder.AddEdge(v + i, v + (i + 1) % 4).ok());
+    }
+  }
+  for (int i = 0; i < 80; ++i) {
+    ASSERT_TRUE(builder
+                    .AddEdge(static_cast<VertexId>(rng.Uniform(70)),
+                             static_cast<VertexId>(rng.Uniform(70)))
+                    .ok());
+  }
+  const Graph g = builder.Build();
+  MotifFindingConfig levelwise;
+  levelwise.miner.min_size = 3;
+  levelwise.miner.max_size = 4;
+  levelwise.miner.min_frequency = 3;
+  levelwise.uniqueness.num_random_networks = 6;
+  levelwise.uniqueness.seed = 17;
+  levelwise.uniqueness_threshold = -1.0;
+  EsuMotifConfig esu;
+  esu.min_frequency = 3;
+  esu.uniqueness = levelwise.uniqueness;
+  esu.uniqueness_threshold = -1.0;
+  for (const size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetThreadCount(threads);
+    std::map<std::vector<uint8_t>, Motif> by_code;
+    for (Motif& m : FindNetworkMotifs(g, levelwise)) {
+      by_code[m.code] = std::move(m);
+    }
+    size_t classes = 0;
+    std::set<double> scores;
+    for (const size_t size : {3, 4}) {
+      esu.size = size;
+      for (const Motif& m : FindNetworkMotifsEsu(g, esu)) {
+        const auto it = by_code.find(m.code);
+        ASSERT_NE(it, by_code.end()) << m.ToString();
+        EXPECT_EQ(m.frequency, it->second.frequency) << m.ToString();
+        EXPECT_DOUBLE_EQ(m.uniqueness, it->second.uniqueness)
+            << m.ToString();
+        scores.insert(m.uniqueness);
+        ++classes;
+      }
+    }
+    EXPECT_EQ(classes, by_code.size());
+    // Distinct scores show both counters decided wins and losses.
+    EXPECT_GT(scores.size(), 1u);
+  }
+  SetThreadCount(0);
+}
+
 TEST(EsuFinderTest, Deterministic) {
   Rng rng(94);
   const Graph g = BarabasiAlbert(60, 2, rng);
   EsuMotifConfig config;
   config.size = 3;
   config.min_frequency = 5;
-  config.num_random_networks = 4;
+  config.uniqueness.num_random_networks = 4;
   config.uniqueness_threshold = -1.0;
   const auto a = FindNetworkMotifsEsu(g, config);
   const auto b = FindNetworkMotifsEsu(g, config);

@@ -73,14 +73,16 @@ TEST(UniquenessTest, PlantedPatternScoresHigh) {
 }
 
 TEST(UniquenessTest, FilterUnique) {
-  std::vector<Motif> motifs(3);
+  std::vector<Motif> motifs(4);
   motifs[0].uniqueness = 1.0;
   motifs[1].uniqueness = 0.5;
   motifs[2].uniqueness = 0.96;
+  motifs[3].uniqueness = -1.0;  // never evaluated: kept
   const auto kept = FilterUnique(std::move(motifs), 0.95);
-  ASSERT_EQ(kept.size(), 2u);
+  ASSERT_EQ(kept.size(), 3u);
   EXPECT_DOUBLE_EQ(kept[0].uniqueness, 1.0);
   EXPECT_DOUBLE_EQ(kept[1].uniqueness, 0.96);
+  EXPECT_DOUBLE_EQ(kept[2].uniqueness, -1.0);
 }
 
 TEST(UniquenessTest, NoRandomNetworksLeavesUnevaluated) {
@@ -115,6 +117,27 @@ TEST(UniquenessTest, FindNetworkMotifsFacade) {
     EXPECT_LE(m.size(), 4u);
   }
   EXPECT_FALSE(motifs.empty());
+}
+
+TEST(UniquenessTest, NoRandomNetworksKeepsEveryMinedPattern) {
+  // Without an ensemble nothing is scored, so the facade must return the
+  // miner's patterns unfiltered and unevaluated, as the ESU route does.
+  Rng rng(43);
+  const Graph g = PlantedSquares(15, 40, rng);
+  MotifFindingConfig config;
+  config.miner.min_size = 3;
+  config.miner.max_size = 4;
+  config.miner.min_frequency = 10;
+  config.uniqueness.num_random_networks = 0;
+  const auto mined = FrequentSubgraphMiner(g, config.miner).Mine();
+  ASSERT_FALSE(mined.empty());
+  const auto motifs = FindNetworkMotifs(g, config);
+  ASSERT_EQ(motifs.size(), mined.size());
+  for (size_t i = 0; i < motifs.size(); ++i) {
+    EXPECT_EQ(motifs[i].code, mined[i].code) << "motif " << i;
+    EXPECT_EQ(motifs[i].frequency, mined[i].frequency) << "motif " << i;
+    EXPECT_DOUBLE_EQ(motifs[i].uniqueness, -1.0) << "motif " << i;
+  }
 }
 
 TEST(UniquenessTest, ReplicateOrderDoesNotChangeVerdict) {

@@ -160,9 +160,17 @@ std::vector<FlagSpec> WithCommonFlags(std::vector<FlagSpec> specs) {
   return specs;
 }
 
+int Usage();
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+/// A flag error: the message, then usage, exit 2.
+int UsageError(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return Usage();
 }
 
 /// The crash-safety flags mine and label share. --checkpoint DIR enables
@@ -298,6 +306,16 @@ int CmdMine(const Flags& flags) {
   ApplyThreadFlag(flags);
   auto checkpoint = CheckpointFromFlags(flags);
   if (!checkpoint.ok()) return Fail(checkpoint.status());
+  const std::string algo = flags.Get("algo", "levelwise");
+  if (algo != "levelwise" && algo != "esu") {
+    return UsageError(
+        Status::InvalidArgument("--algo must be levelwise or esu"));
+  }
+  if (algo == "esu" && flags.Has("beam")) {
+    // ESU enumerates every class, so a beam would be silently ignored.
+    return UsageError(
+        Status::InvalidArgument("--beam applies to --algo levelwise"));
+  }
   ObsScope obs(flags);
   const auto graph = [&] {
     const ScopedTimer timer("load");
@@ -305,44 +323,46 @@ int CmdMine(const Flags& flags) {
   }();
   if (!graph.ok()) return Fail(graph.status());
 
-  const std::string algo = flags.Get("algo", "levelwise");
   std::vector<Motif> motifs;
+  // Both routes run the same uniqueness ensemble on the same flags.
+  UniquenessConfig uniqueness;
+  uniqueness.num_random_networks = flags.GetSize("networks", 10);
+  uniqueness.seed = flags.GetSize("seed", 42);
+  const double threshold = flags.GetDouble("uniqueness", 0.95);
+  const size_t min_size = flags.GetSize("min-size", 3);
+  const size_t max_size = flags.GetSize("max-size", 5);
+  const size_t min_freq = flags.GetSize("min-freq", 40);
   if (algo == "esu") {
     // FANMOD route: exhaustive per-size ESU enumeration + ensemble
     // uniqueness, one pass per size in [min-size, max-size].
     const ScopedTimer timer("mine");
-    EsuMotifConfig config;
-    config.min_frequency = flags.GetSize("min-freq", 40);
-    config.num_random_networks = flags.GetSize("networks", 10);
-    config.uniqueness_threshold = flags.GetDouble("uniqueness", 0.95);
-    config.seed = flags.GetSize("seed", 42);
-    config.checkpoint = *checkpoint;
-    const size_t min_size = flags.GetSize("min-size", 3);
-    const size_t max_size = flags.GetSize("max-size", 5);
     if (max_size > kMaxPatternVertices) {
       return Fail(Status::InvalidArgument(
           "--algo esu supports --max-size up to " +
           std::to_string(kMaxPatternVertices) + " (got " +
           std::to_string(max_size) + "); --algo levelwise grows past it"));
     }
+    EsuMotifConfig config;
+    config.min_frequency = min_freq;
+    config.uniqueness = uniqueness;
+    config.uniqueness_threshold = threshold;
+    config.checkpoint = *checkpoint;
     for (size_t size = min_size; size <= max_size; ++size) {
       config.size = size;
       auto per_size = FindNetworkMotifsEsu(*graph, config);
       for (auto& motif : per_size) motifs.push_back(std::move(motif));
     }
-  } else if (algo == "levelwise") {
+  } else {
     const ScopedTimer timer("mine");
     MotifFindingConfig config;
-    config.miner.min_size = flags.GetSize("min-size", 3);
-    config.miner.max_size = flags.GetSize("max-size", 5);
-    config.miner.min_frequency = flags.GetSize("min-freq", 40);
+    config.miner.min_size = min_size;
+    config.miner.max_size = max_size;
+    config.miner.min_frequency = min_freq;
     config.miner.max_patterns_per_level = flags.GetSize("beam", 60);
-    config.uniqueness.num_random_networks = flags.GetSize("networks", 10);
-    config.uniqueness_threshold = flags.GetDouble("uniqueness", 0.95);
-    config.checkpoint = *checkpoint;
+    config.miner.checkpoint = *checkpoint;
+    config.uniqueness = uniqueness;
+    config.uniqueness_threshold = threshold;
     motifs = FindNetworkMotifs(*graph, config);
-  } else {
-    return Fail(Status::InvalidArgument("--algo must be levelwise or esu"));
   }
   std::printf("found %zu network motifs\n", motifs.size());
 
@@ -411,8 +431,6 @@ bool ResolvePredictorFlag(const Flags& flags, std::string* name) {
                name->c_str(), PredictorNamesUsage().c_str());
   return false;
 }
-
-int Usage();
 
 int CmdPredict(const Flags& flags) {
   ApplyThreadFlag(flags);
@@ -857,8 +875,8 @@ int Usage() {
       "  generate  --proteins N --seed S --copies C --out PREFIX\n"
       "  stats     --graph FILE\n"
       "  mine      --graph FILE --algo levelwise|esu --min-size K --max-size K\n"
-      "            --min-freq F --networks R --uniqueness U --beam B --seed S\n"
-      "            --threads N --out FILE\n"
+      "            --min-freq F --networks R --uniqueness U --seed S\n"
+      "            --beam B (levelwise only) --threads N --out FILE\n"
       "  label     --graph FILE --obo FILE --annotations FILE --motifs FILE\n"
       "            --sigma S --max-occurrences M --informative T --threads N\n"
       "            --out FILE\n"
@@ -1060,10 +1078,7 @@ int Main(int argc, char** argv) {
   for (const Command& cmd : Commands()) {
     if (command != cmd.name) continue;
     auto flags = Flags::Parse(argc, argv, 2, cmd.flags);
-    if (!flags.ok()) {
-      std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
-      return Usage();
-    }
+    if (!flags.ok()) return UsageError(flags.status());
     return cmd.run(*flags);
   }
   std::fprintf(stderr, "error: unknown command \"%s\"\n", command.c_str());
