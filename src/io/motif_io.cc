@@ -27,6 +27,27 @@ void WriteOccurrences(std::ostream& out, const OccurrenceList& occurrences) {
   }
 }
 
+/// Writes `title`, then each motif as `render` puts it, through the chunked
+/// WriteFileAtomic: one motif is rendered at a time, never the whole file.
+template <typename M, typename Render>
+Status WriteEachMotif(const std::string& path, std::string_view title,
+                      const std::vector<M>& motifs, const Render& render) {
+  std::ostringstream out;
+  size_t next = 0;  // 0 is the title, i + 1 is motifs[i]
+  return WriteFileAtomic(path, [&](std::string_view* chunk) {
+    if (next > motifs.size()) return false;
+    out.str("");
+    if (next == 0) {
+      out << title;
+    } else {
+      render(out, motifs[next - 1]);
+    }
+    ++next;
+    *chunk = out.view();
+    return true;
+  });
+}
+
 Status ParseEdges(const std::string_view line, size_t n, SmallGraph* out) {
   *out = SmallGraph(n);
   std::istringstream fields{std::string(Trim(line.substr(5)))};
@@ -69,18 +90,16 @@ Status ParseOccurrence(const std::string_view line, size_t n,
 
 Status WriteMotifs(const std::vector<Motif>& motifs,
                    const std::string& path) {
-  // Rendered in memory and replaced atomically: a crash mid-write must
-  // never leave a torn motif file behind.
-  std::ostringstream out;
-  out << "# lamo motifs\n";
-  for (const Motif& m : motifs) {
-    out << "motif " << m.size() << " " << m.frequency << " " << m.uniqueness
-        << "\n";
-    WriteEdges(out, m.pattern);
-    WriteOccurrences(out, m.occurrences);
-    out << "end\n";
-  }
-  return WriteFileAtomic(path, std::move(out).str());
+  // Replaced atomically: a crash mid-write must never leave a torn motif
+  // file behind.
+  return WriteEachMotif(path, "# lamo motifs\n", motifs,
+                        [](std::ostream& out, const Motif& m) {
+                          out << "motif " << m.size() << " " << m.frequency
+                              << " " << m.uniqueness << "\n";
+                          WriteEdges(out, m.pattern);
+                          WriteOccurrences(out, m.occurrences);
+                          out << "end\n";
+                        });
 }
 
 StatusOr<std::vector<Motif>> ReadMotifs(const std::string& path) {
@@ -133,25 +152,24 @@ StatusOr<std::vector<Motif>> ReadMotifs(const std::string& path) {
 
 Status WriteLabeledMotifs(const std::vector<LabeledMotif>& motifs,
                           const Ontology& ontology, const std::string& path) {
-  std::ostringstream out;
-  out << "# lamo labeled motifs\n";
-  for (const LabeledMotif& m : motifs) {
-    out << "labeled " << m.size() << " " << m.frequency << " "
-        << m.uniqueness << " " << m.strength << "\n";
-    WriteEdges(out, m.pattern);
-    for (size_t pos = 0; pos < m.scheme.size(); ++pos) {
-      if (m.scheme[pos].empty()) continue;
-      out << "labels " << pos << " ";
-      for (size_t i = 0; i < m.scheme[pos].size(); ++i) {
-        if (i > 0) out << ",";
-        out << ontology.TermName(m.scheme[pos][i]);
-      }
-      out << "\n";
-    }
-    WriteOccurrences(out, m.occurrences);
-    out << "end\n";
-  }
-  return WriteFileAtomic(path, std::move(out).str());
+  return WriteEachMotif(
+      path, "# lamo labeled motifs\n", motifs,
+      [&](std::ostream& out, const LabeledMotif& m) {
+        out << "labeled " << m.size() << " " << m.frequency << " "
+            << m.uniqueness << " " << m.strength << "\n";
+        WriteEdges(out, m.pattern);
+        for (size_t pos = 0; pos < m.scheme.size(); ++pos) {
+          if (m.scheme[pos].empty()) continue;
+          out << "labels " << pos << " ";
+          for (size_t i = 0; i < m.scheme[pos].size(); ++i) {
+            if (i > 0) out << ",";
+            out << ontology.TermName(m.scheme[pos][i]);
+          }
+          out << "\n";
+        }
+        WriteOccurrences(out, m.occurrences);
+        out << "end\n";
+      });
 }
 
 StatusOr<std::vector<LabeledMotif>> ReadLabeledMotifs(

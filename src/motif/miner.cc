@@ -33,8 +33,8 @@ const size_t kFpMinerLevel = FaultPointId("mine.level");
 /// Stored parents grown per block: a constant, so block boundaries and the
 /// merge order never depend on the thread count.
 constexpr size_t kParentsPerBlock = 256;
-/// Blocks grown per parallel wave before they merge. A wave's buffers (a
-/// canonical-form pointer and k+1 ids per candidate) are the largest
+/// Blocks grown per parallel wave before they merge. A wave's buffers (one
+/// NewSet per new candidate of a pattern not yet capped) are the largest
 /// transient of a level, so the wave is kept small.
 constexpr size_t kBlocksPerWave = 16;
 
@@ -46,70 +46,119 @@ struct PatternEntry {
 
 using LevelMap = std::map<std::vector<uint8_t>, PatternEntry>;
 
-/// The stored parent occurrences of one level in growth order (LevelMap code
-/// order, then occurrence order), flat: parent g's aligned vertices, its
-/// sorted vertex set, and an open-addressed table from sorted set to g.
-class ParentIndex {
+/// Order-free hash of a vertex set: the sum of a mix of each id, so the
+/// hash of S - {u} is the hash of S minus the mix of u.
+uint64_t MixId(VertexId v) {
+  uint64_t x = v + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// The stored parents of one level in growth order (pattern code order,
+/// then occurrence order), read in place from the level's occurrence lists:
+/// parent g is the g-th occurrence across them. An open-addressed table
+/// finds a parent by its vertex set in any vertex order; each slot holds g
+/// and the high 32 bits of the set's hash, so a probe compares ids only on a
+/// tag match.
+class ParentTable {
  public:
-  ParentIndex(const LevelMap& level, size_t k) : k_(k) {
-    size_t total = 0;
-    for (const auto& [code, entry] : level) total += entry.occurrences.size();
-    aligned_.reserve(total * k_);
-    for (const auto& [code, entry] : level) {
-      const std::span<const VertexId> ids = entry.occurrences.ids();
-      aligned_.insert(aligned_.end(), ids.begin(), ids.end());
+  ParentTable(std::span<const Motif> level, size_t k) : k_(k) {
+    for (const Motif& m : level) {
+      starts_.push_back(size_);
+      lists_.push_back(m.occurrences.ids());
+      size_ += m.occurrences.size();
     }
-    LAMO_CHECK_LT(size(), size_t{kEmpty});
-    sorted_ = aligned_;
+    LAMO_CHECK_LT(size_, size_t{kEmpty});
     size_t capacity = 16;
-    while (capacity < 2 * size()) capacity *= 2;
+    while (capacity < 2 * size_) capacity *= 2;
     mask_ = capacity - 1;
-    slots_.assign(capacity, kEmpty);
-    for (uint32_t g = 0; g < size(); ++g) {
-      VertexId* set = sorted_.data() + size_t{g} * k_;
-      std::sort(set, set + k_);
-      size_t s = Hash(set);
-      while (slots_[s] != kEmpty) s = (s + 1) & mask_;
-      slots_[s] = g;
+    slots_.assign(capacity, Slot{kEmpty, 0});
+    uint32_t g = 0;
+    for (const std::span<const VertexId> ids : lists_) {
+      for (size_t at = 0; at < ids.size(); at += k_, ++g) {
+        uint64_t hash = 0;
+        for (size_t i = 0; i < k_; ++i) hash += MixId(ids[at + i]);
+        size_t s = hash & mask_;
+        while (slots_[s].g != kEmpty) s = (s + 1) & mask_;
+        slots_[s] = Slot{g, static_cast<uint32_t>(hash >> 32)};
+      }
     }
   }
 
   size_t k() const { return k_; }
-  size_t size() const { return aligned_.size() / k_; }
-  const VertexId* Aligned(size_t g) const { return &aligned_[g * k_]; }
-  const VertexId* Sorted(size_t g) const { return &sorted_[g * k_]; }
+  size_t size() const { return size_; }
+  /// Parent g's vertices, aligned to its pattern.
+  const VertexId* Aligned(size_t g) const {
+    const size_t p =
+        std::upper_bound(starts_.begin(), starts_.end(), g) - starts_.begin() -
+        1;
+    return lists_[p].data() + (g - starts_[p]) * k_;
+  }
+  /// Writes parent g's vertex set, sorted, to out[0..k).
+  void Sorted(size_t g, VertexId* out) const {
+    const VertexId* p = Aligned(g);
+    std::copy(p, p + k_, out);
+    std::sort(out, out + k_);
+  }
 
-  /// Index of the stored parent with sorted vertex set set[0..k), or size().
-  size_t Find(const VertexId* set) const {
-    for (size_t s = Hash(set);; s = (s + 1) & mask_) {
-      if (slots_[s] == kEmpty) return size();
-      if (std::equal(set, set + k_, Sorted(slots_[s]))) return slots_[s];
+  /// Index of the stored parent whose vertex set is the sorted set[0..k]
+  /// without set[u], or size(); `hash` is that parent set's hash.
+  size_t Find(uint64_t hash, const VertexId* set, size_t u) const {
+    const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+    for (size_t s = hash & mask_;; s = (s + 1) & mask_) {
+      const Slot slot = slots_[s];
+      if (slot.g == kEmpty) return size_;
+      if (slot.tag != tag) continue;
+      const VertexId* p = Aligned(slot.g);
+      if (std::all_of(p, p + k_, [&](VertexId v) {
+            return v != set[u] && std::binary_search(set, set + k_ + 1, v);
+          })) {
+        return slot.g;
+      }
     }
   }
 
  private:
   static constexpr uint32_t kEmpty = UINT32_MAX;
-
-  size_t Hash(const VertexId* set) const {
-    uint64_t h = 0;
-    for (size_t i = 0; i < k_; ++i) h = (h ^ set[i]) * 0x9e3779b97f4a7c15ULL;
-    return static_cast<size_t>(h ^ (h >> 29)) & mask_;
-  }
+  struct Slot {
+    uint32_t g;
+    uint32_t tag;
+  };
 
   size_t k_;
+  size_t size_ = 0;
   size_t mask_ = 0;
-  std::vector<VertexId> aligned_;
-  std::vector<VertexId> sorted_;
-  std::vector<uint32_t> slots_;
+  std::vector<size_t> starts_;  // first g of each pattern
+  std::vector<std::span<const VertexId>> lists_;
+  std::vector<Slot> slots_;
 };
 
-/// One block's new candidate sets in serial reach order, flat: the
-/// canonical form and the k+1 aligned vertices (canonical vertex c is played
-/// by aligned[c]) of each.
+/// Writes the sorted sorted[0..k) plus w to set[0..k], sorted; returns
+/// where w landed.
+size_t InsertSorted(const VertexId* sorted, size_t k, VertexId w,
+                    VertexId* set) {
+  const size_t at = std::lower_bound(sorted, sorted + k, w) - sorted;
+  std::copy(sorted, sorted + at, set);
+  set[at] = w;
+  std::copy(sorted + at, sorted + k, set + at + 1);
+  return at;
+}
+
+/// A new candidate set, compact: parent g's vertex set plus w, in pattern
+/// `canon`. Its aligned ids are rebuilt at merge (canonical vertex c is
+/// played by the sorted set's canon->canonical_to_original[c]-th vertex).
+struct NewSet {
+  const CanonicalResult* canon;
+  uint32_t parent;
+  VertexId w;
+};
+
+/// One block's new candidate sets in serial reach order.
 struct GrownBlock {
-  std::vector<const CanonicalResult*> canon;
-  std::vector<VertexId> aligned;
+  std::vector<NewSet> sets;
   uint64_t reached = 0;  // extensions tried, duplicates included
+  uint64_t fresh = 0;    // new sets, capped patterns' included
   // Owns the canonical forms of sizes past kMaxPatternVertices, which only
   // this miner reaches (levels grow up to SmallGraph::kMaxVertices).
   std::map<std::vector<uint8_t>, CanonicalResult> large_canon;
@@ -121,16 +170,19 @@ struct GrownBlock {
 /// j < i, and (b) no S - {u}, u in P, is a stored parent with index < g:
 /// every such parent reaches S too, and nothing else does. So deciding
 /// newness needs only the stored parents, never a set of every candidate.
+/// A new set whose pattern is in `capped` (sorted codes of the patterns
+/// full at the cap when the wave began) is counted, not kept.
 GrownBlock GrowBlock(const Graph& graph, const GraphIndex& index,
-                     const ParentIndex& parents, SharedCanonCache* cache,
+                     const ParentTable& parents, SharedCanonCache* cache,
+                     const std::vector<std::vector<uint8_t>>& capped,
                      size_t lo, size_t hi) {
   const size_t k = parents.k();
   GrownBlock block;
+  VertexId sorted[SmallGraph::kMaxVertices];
   VertexId set[SmallGraph::kMaxVertices];
-  VertexId sub[SmallGraph::kMaxVertices];
   for (size_t g = lo; g < hi; ++g) {
     const VertexId* p = parents.Aligned(g);
-    const VertexId* sorted = parents.Sorted(g);
+    parents.Sorted(g, sorted);
     for (size_t i = 0; i < k; ++i) {
       for (const VertexId w : index.Neighbors(p[i])) {
         if (std::find(p, p + k, w) != p + k) continue;
@@ -138,17 +190,15 @@ GrownBlock GrowBlock(const Graph& graph, const GraphIndex& index,
         bool seen = false;
         for (size_t j = 0; j < i && !seen; ++j) seen = index.HasEdge(p[j], w);
         if (seen) continue;
-        const size_t at = std::lower_bound(sorted, sorted + k, w) - sorted;
-        std::copy(sorted, sorted + at, set);
-        set[at] = w;
-        std::copy(sorted + at, sorted + k, set + at + 1);
+        const size_t at = InsertSorted(sorted, k, w, set);
+        uint64_t hash = 0;
+        for (size_t u = 0; u <= k; ++u) hash += MixId(set[u]);
         for (size_t u = 0; u <= k && !seen; ++u) {
           if (u == at) continue;
-          std::copy(set, set + u, sub);
-          std::copy(set + u + 1, set + k + 1, sub + u);
-          seen = parents.Find(sub) < g;
+          seen = parents.Find(hash - MixId(set[u]), set, u) < g;
         }
         if (seen) continue;
+        ++block.fresh;
 
         const CanonicalResult* canon = nullptr;
         if (cache != nullptr) {
@@ -161,10 +211,11 @@ GrownBlock GrowBlock(const Graph& graph, const GraphIndex& index,
           if (inserted) it->second = Canonicalize(induced);
           canon = &it->second;
         }
-        block.canon.push_back(canon);
-        for (size_t c = 0; c <= k; ++c) {
-          block.aligned.push_back(set[canon->canonical_to_original[c]]);
+        if (!capped.empty() &&
+            std::binary_search(capped.begin(), capped.end(), canon->code)) {
+          continue;
         }
+        block.sets.push_back(NewSet{canon, static_cast<uint32_t>(g), w});
       }
     }
   }
@@ -182,47 +233,67 @@ uint64_t MinerFingerprint(const Graph& graph, const MinerConfig& config) {
   return Fnv1a64(w.bytes());
 }
 
-/// Level-state payload: the size of the patterns currently in `level`, the
-/// level itself, and everything harvested so far. When `level_in_results`,
-/// the level's occurrences were moved into the last level.size() results.
-std::string EncodeLevelState(size_t level_size, const LevelMap& level,
-                             const std::vector<Motif>& results,
-                             bool level_in_results) {
+/// Level-state payload: the size of the patterns in the current level, the
+/// level itself, and everything harvested so far. The level is the last
+/// `level_count` motifs of `held`; `held` is the harvest too when the level
+/// is at or past min_size, and holds that level alone when it is not.
+std::string EncodeLevelState(size_t level_size, const std::vector<Motif>& held,
+                             size_t level_count, bool level_harvested) {
   ByteWriter w;
   w.PutU64(level_size);
-  w.PutU64(level.size());
-  size_t moved = results.size() - level.size();
-  for (const auto& [code, entry] : level) {
-    const OccurrenceList& occurrences =
-        level_in_results ? results[moved++].occurrences : entry.occurrences;
-    w.PutU8Vec(code);
-    EncodeSmallGraph(entry.pattern, &w);
-    EncodeOccurrences(occurrences, &w);
+  w.PutU64(level_count);
+  for (const Motif& m : std::span<const Motif>(held).last(level_count)) {
+    w.PutU8Vec(m.code);
+    EncodeSmallGraph(m.pattern, &w);
+    EncodeOccurrences(m.occurrences, &w);
   }
-  w.PutU64(results.size());
-  for (const Motif& m : results) EncodeMotif(m, &w);
+  w.PutU64(level_harvested ? held.size() : 0);
+  if (level_harvested) {
+    for (const Motif& m : held) EncodeMotif(m, &w);
+  }
   return w.TakeBytes();
 }
 
-Status DecodeLevelState(std::string_view payload, size_t* level_size,
-                        LevelMap* level, std::vector<Motif>* results) {
+/// Inverse of EncodeLevelState. A harvested level is kept once: its entries
+/// must match the tail of the decoded harvest, whose motifs become the level.
+Status DecodeLevelState(std::string_view payload, size_t min_size,
+                        size_t* level_size, size_t* level_count,
+                        std::vector<Motif>* held) {
   ByteReader r(payload);
   *level_size = static_cast<size_t>(r.GetU64());
-  const uint64_t num_patterns = r.GetU64();
-  level->clear();
-  for (uint64_t i = 0; i < num_patterns && r.ok(); ++i) {
-    std::vector<uint8_t> code = r.GetU8Vec("pattern code");
-    PatternEntry entry;
-    DecodeSmallGraph(&r, &entry.pattern);
-    DecodeOccurrences(&r, entry.pattern.num_vertices(), &entry.occurrences);
-    level->emplace(std::move(code), std::move(entry));
+  *level_count = static_cast<size_t>(r.GetU64());
+  const bool harvested = *level_size >= min_size;
+  std::vector<std::pair<std::vector<uint8_t>, size_t>> level_keys;
+  held->clear();
+  for (size_t i = 0; i < *level_count && r.ok(); ++i) {
+    Motif m;
+    m.code = r.GetU8Vec("pattern code");
+    DecodeSmallGraph(&r, &m.pattern);
+    DecodeOccurrences(&r, m.pattern.num_vertices(), &m.occurrences);
+    m.frequency = m.occurrences.size();
+    if (harvested) {
+      level_keys.emplace_back(std::move(m.code), m.frequency);
+    } else {
+      held->push_back(std::move(m));
+    }
   }
   const uint64_t num_results = r.GetU64();
-  results->clear();
+  if (r.ok() && !harvested && num_results != 0) {
+    r.Fail("results before min_size in level state");
+  }
   for (uint64_t i = 0; i < num_results && r.ok(); ++i) {
-    DecodeMotif(&r, &results->emplace_back());
+    DecodeMotif(&r, &held->emplace_back());
   }
   if (r.ok() && !r.AtEnd()) r.Fail("trailing bytes in level state");
+  if (r.ok() && harvested) {
+    bool tail = held->size() >= *level_count;
+    for (size_t i = 0; i < level_keys.size() && tail; ++i) {
+      const Motif& m = (*held)[held->size() - *level_count + i];
+      tail = m.code == level_keys[i].first &&
+             m.occurrences.size() == level_keys[i].second;
+    }
+    if (!tail) r.Fail("level is not the tail of the results");
+  }
   return r.status();
 }
 
@@ -235,120 +306,117 @@ FrequentSubgraphMiner::FrequentSubgraphMiner(const Graph& graph,
 std::vector<Motif> FrequentSubgraphMiner::Mine() {
   LAMO_CHECK_GE(config_.min_size, 2u);
   LAMO_CHECK_GE(config_.max_size, config_.min_size);
-  std::vector<Motif> results;
+  // Each level's occurrence lists are held once. `held` ends in the current
+  // level (its last `level_count` motifs, of size `level_size`) and grows
+  // the next level from it in place. Levels at or past min_size are the
+  // result; a level below it is held alone, until the next one is grown.
+  std::vector<Motif> held;
+  size_t level_size = 2;
+  size_t level_count = 0;
 
   // Each level is a deterministic function of the previous one, so the
-  // (level, results) pair after any completed level is a valid restart
-  // point; a resumed run replays the remaining levels byte-identically.
+  // held state after any completed level is a valid restart point; a
+  // resumed run replays the remaining levels byte-identically.
   const StageCheckpointer ckpt(config_.checkpoint, "mine_levels",
                                MinerFingerprint(graph_, config_));
-  LevelMap level;
-  size_t start_size = 2;
   bool restored = false;
   std::string payload;
   if (ckpt.TryLoad(&payload)) {
-    size_t level_size = 0;
-    LevelMap restored_level;
-    std::vector<Motif> restored_results;
-    const Status status = DecodeLevelState(payload, &level_size,
-                                           &restored_level, &restored_results);
-    if (status.ok() && level_size >= 2 && level_size <= config_.max_size) {
-      level = std::move(restored_level);
-      results = std::move(restored_results);
-      start_size = level_size;
-      restored = true;
-    } else {
+    const Status status = DecodeLevelState(payload, config_.min_size,
+                                           &level_size, &level_count, &held);
+    restored = status.ok() && level_size >= 2 &&
+               level_size <= config_.max_size;
+    if (!restored) {
+      held.clear();
+      level_size = 2;
+      level_count = 0;
       ckpt.RecordDecodeFailure();
     }
   }
-  ckpt.RecordChunks(config_.max_size - 2, start_size - 2);
-
-  // Appends a level's patterns to the results. The last level's
-  // occurrences are moved, not copied: nothing grows from them. Returns
-  // whether they were moved.
-  auto harvest = [&](LevelMap& lvl, size_t size, bool last) {
-    if (size < config_.min_size) return false;
-    for (auto& [code, entry] : lvl) {
-      Motif motif;
-      motif.pattern = entry.pattern;
-      motif.code = code;
-      motif.frequency = entry.occurrences.size();
-      if (last) {
-        motif.occurrences = std::move(entry.occurrences);
-      } else {
-        motif.occurrences = entry.occurrences;
-      }
-      results.push_back(std::move(motif));
-      ObsIncrement(kObsPatternsEmitted);
-    }
-    return last;
-  };
+  ckpt.RecordChunks(config_.max_size - 2, level_size - 2);
 
   if (!restored) {
     // Level 2: the single-edge pattern with every edge as an occurrence.
-    SmallGraph edge_pattern(2);
-    edge_pattern.AddEdge(0, 1);
-    PatternEntry entry;
-    entry.pattern = edge_pattern;
-    entry.occurrences = OccurrenceList(2);
+    Motif edges;
+    edges.pattern = SmallGraph(2);
+    edges.pattern.AddEdge(0, 1);
+    edges.code = edges.pattern.AdjacencyCode();
+    edges.occurrences = OccurrenceList(2);
     for (const auto& [a, b] : graph_.Edges()) {
-      entry.occurrences.push_back({a, b});
+      edges.occurrences.push_back({a, b});
     }
-    if (entry.occurrences.size() >= config_.min_frequency) {
-      level.emplace(edge_pattern.AdjacencyCode(), std::move(entry));
+    edges.frequency = edges.occurrences.size();
+    if (edges.frequency >= config_.min_frequency) {
+      held.push_back(std::move(edges));
+      level_count = 1;
+      if (config_.min_size <= 2) ObsIncrement(kObsPatternsEmitted);
     }
-    harvest(level, 2, false);
   }
 
   const GraphIndex index(graph_);
   const size_t cap = config_.max_occurrences_per_pattern;
   const size_t save_every = std::max<size_t>(1, config_.checkpoint.every);
   size_t completed_levels = 0;
-  for (size_t size = start_size; size < config_.max_size && !level.empty();
-       ++size) {
+  while (level_size < config_.max_size && level_count > 0) {
+    const size_t size = level_size;
     // A level of SmallGraph::kMaxVertices vertices cannot grow; a larger
     // max_size is fine as long as frequency pruning empties a level first.
     LAMO_CHECK_LT(size, SmallGraph::kMaxVertices);
     FaultHit(kFpMinerLevel);
     const ScopedItemTimer level_timer(kSpanLevel, kHistLevelUs, size + 1,
-                                      level.size(), 2);
-    // The parents live on flat in the index; the level map is not needed
-    // again (its patterns were harvested when it was built).
-    const ParentIndex parents(level, size);
-    level.clear();
-    std::optional<SharedCanonCache> cache;
-    if (size + 1 <= kMaxPatternVertices) cache.emplace(size + 1);
-    // Blocks grow in parallel a wave at a time and merge in block order,
-    // which is the serial reach order; a wave bounds the candidate buffers.
-    const size_t num_blocks =
-        (parents.size() + kParentsPerBlock - 1) / kParentsPerBlock;
+                                      level_count, 2);
     LevelMap next;
     uint64_t reached = 0;
     uint64_t candidates = 0;
-    for (size_t first = 0; first < num_blocks; first += kBlocksPerWave) {
-      const std::vector<GrownBlock> blocks = ParallelMap(
-          std::min(kBlocksPerWave, num_blocks - first), 1, [&](size_t b) {
-            const size_t lo = (first + b) * kParentsPerBlock;
-            return GrowBlock(graph_, index, parents,
-                             cache.has_value() ? &*cache : nullptr, lo,
-                             std::min(parents.size(), lo + kParentsPerBlock));
-          });
-      for (const GrownBlock& block : blocks) {
-        reached += block.reached;
-        candidates += block.canon.size();
-        for (size_t c = 0; c < block.canon.size(); ++c) {
-          const CanonicalResult& canon = *block.canon[c];
-          auto [it, inserted] = next.try_emplace(canon.code);
-          if (inserted) {
-            it->second.pattern = canon.graph;
-            it->second.occurrences = OccurrenceList(size + 1);
+    {
+      const ParentTable parents(
+          std::span<const Motif>(held).last(level_count), size);
+      std::optional<SharedCanonCache> cache;
+      if (size + 1 <= kMaxPatternVertices) cache.emplace(size + 1);
+      // Blocks grow in parallel a wave at a time and merge in block order,
+      // which is the serial reach order; a wave bounds the candidate
+      // buffers. `capped` changes only between waves.
+      const size_t num_blocks =
+          (parents.size() + kParentsPerBlock - 1) / kParentsPerBlock;
+      std::vector<std::vector<uint8_t>> capped;
+      for (size_t first = 0; first < num_blocks; first += kBlocksPerWave) {
+        const std::vector<GrownBlock> blocks = ParallelMap(
+            std::min(kBlocksPerWave, num_blocks - first), 1, [&](size_t b) {
+              const size_t lo = (first + b) * kParentsPerBlock;
+              return GrowBlock(graph_, index, parents,
+                               cache.has_value() ? &*cache : nullptr, capped,
+                               lo,
+                               std::min(parents.size(), lo + kParentsPerBlock));
+            });
+        for (const GrownBlock& block : blocks) {
+          reached += block.reached;
+          candidates += block.fresh;
+          for (const NewSet& fresh : block.sets) {
+            const CanonicalResult& canon = *fresh.canon;
+            auto [it, inserted] = next.try_emplace(canon.code);
+            if (inserted) {
+              it->second.pattern = canon.graph;
+              it->second.occurrences = OccurrenceList(size + 1);
+            }
+            OccurrenceList& occurrences = it->second.occurrences;
+            if (cap != 0 && occurrences.size() >= cap) {
+              continue;  // frequency becomes a lower bound at the cap
+            }
+            VertexId sorted[SmallGraph::kMaxVertices];
+            VertexId set[SmallGraph::kMaxVertices];
+            parents.Sorted(fresh.parent, sorted);
+            InsertSorted(sorted, size, fresh.w, set);
+            const std::span<VertexId> occ =
+                occurrences.push_back_uninitialized();
+            for (size_t c = 0; c <= size; ++c) {
+              occ[c] = set[canon.canonical_to_original[c]];
+            }
+            if (occurrences.size() == cap) {
+              capped.insert(
+                  std::lower_bound(capped.begin(), capped.end(), canon.code),
+                  canon.code);
+            }
           }
-          OccurrenceList& occurrences = it->second.occurrences;
-          if (cap != 0 && occurrences.size() >= cap) {
-            continue;  // frequency becomes a lower bound at the cap
-          }
-          occurrences.push_back(std::span<const VertexId>(
-              &block.aligned[c * (size + 1)], size + 1));
         }
       }
     }
@@ -382,15 +450,29 @@ std::vector<Motif> FrequentSubgraphMiner::Mine() {
       next = std::move(pruned);
     }
 
-    const bool moved = harvest(next, size + 1, size + 1 == config_.max_size);
-    level = std::move(next);
-    if (ckpt.enabled() && ++completed_levels % save_every == 0) {
-      ckpt.Save(EncodeLevelState(size + 1, level, results, moved));
+    // Harvest: the new level's lists move into `held`. A parent level below
+    // min_size was held only to grow this one.
+    if (size < config_.min_size) held.clear();
+    for (auto& [code, entry] : next) {
+      Motif motif;
+      motif.pattern = std::move(entry.pattern);
+      motif.code = code;
+      motif.frequency = entry.occurrences.size();
+      motif.occurrences = std::move(entry.occurrences);
+      held.push_back(std::move(motif));
     }
-    LAMO_LOG(Debug) << "miner level " << (size + 1) << ": " << level.size()
+    level_size = size + 1;
+    level_count = next.size();
+    const bool harvested = level_size >= config_.min_size;
+    if (harvested) ObsAdd(kObsPatternsEmitted, level_count);
+    if (ckpt.enabled() && ++completed_levels % save_every == 0) {
+      ckpt.Save(EncodeLevelState(level_size, held, level_count, harvested));
+    }
+    LAMO_LOG(Debug) << "miner level " << level_size << ": " << level_count
                     << " frequent patterns";
   }
-  return results;
+  if (level_size < config_.min_size) held.clear();
+  return held;
 }
 
 }  // namespace lamo

@@ -51,7 +51,8 @@ struct MinerConfig {
 /// DESIGN.md §5), so growth runs in parallel over fixed blocks of parents
 /// on a GraphIndex and a per-level SharedCanonCache (Canonicalize past
 /// kMaxPatternVertices), and the output is byte-identical for every thread
-/// count.
+/// count. Each level's occurrence lists are held once: the next level grows
+/// from them in place, and they move into the result.
 ///
 /// Growth from occurrence lists is exhaustive under downward closure (every
 /// frequent (k+1)-pattern has a size-k sub-occurrence inside a frequent

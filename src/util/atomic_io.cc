@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "util/fault.h"
 
@@ -101,10 +102,24 @@ std::string AtomicTmpPath(const std::string& path) { return path + ".tmp"; }
 
 Status WriteFileAtomic(const std::string& path, std::string_view bytes,
                        size_t* fsync_out) {
+  bool done = false;
+  return WriteFileAtomic(
+      path,
+      [&](std::string_view* chunk) {
+        *chunk = bytes;
+        return !std::exchange(done, true);
+      },
+      fsync_out);
+}
+
+Status WriteFileAtomic(const std::string& path, const ChunkSource& next,
+                       size_t* fsync_out) {
   const std::string tmp = AtomicTmpPath(path);
   const int fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return IoErrorFor("open", tmp);
-  Status status = WriteAll(fd, bytes, tmp);
+  Status status;
+  std::string_view chunk;
+  while (status.ok() && next(&chunk)) status = WriteAll(fd, chunk, tmp);
   if (status.ok() && fsync(fd) != 0) status = IoErrorFor("fsync", tmp);
   if (close(fd) != 0 && status.ok()) status = IoErrorFor("close", tmp);
   if (!status.ok()) {

@@ -1,6 +1,7 @@
 #ifndef LAMO_UTIL_ATOMIC_IO_H_
 #define LAMO_UTIL_ATOMIC_IO_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -26,6 +27,16 @@ namespace lamo {
 /// file + directory syncs of one call count once), feeding the
 /// checkpoint.writes == checkpoint.fsyncs report invariant.
 Status WriteFileAtomic(const std::string& path, std::string_view bytes,
+                       size_t* fsync_out = nullptr);
+
+/// Hands out the bytes of a file one chunk at a time: sets *chunk to the
+/// next chunk (valid until the next call) and returns true, or returns false
+/// once every chunk was handed out.
+using ChunkSource = std::function<bool(std::string_view* chunk)>;
+
+/// WriteFileAtomic of the chunks of `next`, in order, so a writer never
+/// holds the whole file. The string form above calls this with one chunk.
+Status WriteFileAtomic(const std::string& path, const ChunkSource& next,
                        size_t* fsync_out = nullptr);
 
 /// Reads the whole of `path` into `out`. NotFound if the file does not

@@ -10,6 +10,7 @@
 
 #include "core/lamofinder.h"
 #include "motif/esu_finder.h"
+#include "motif/miner.h"
 #include "motif/uniqueness.h"
 #include "synth/dataset.h"
 #include "util/atomic_io.h"
@@ -91,6 +92,72 @@ TEST(CheckpointBytesTest, EveryStageMatchesRecordedBytes) {
     EXPECT_EQ(Fnv1a64(bytes), file.fnv) << file.stage;
   }
   std::filesystem::remove_all(dir);
+}
+
+// Pins the "mine_levels" payload in the three places a level can sit when
+// it is saved: the last level (moved into the results), a level at or past
+// min_size with one more level to grow, and a level below min_size (no
+// results yet). Saving every 2nd level makes the file on disk an inner
+// level's state. Resuming from each must reproduce the uninterrupted run.
+TEST(CheckpointBytesTest, MinerLevelStatesMatchRecordedBytes) {
+  SyntheticDatasetConfig dataset_config;
+  dataset_config.num_proteins = 300;
+  dataset_config.go.num_terms = 60;
+  dataset_config.num_templates = 2;
+  dataset_config.copies_per_template = 20;
+  dataset_config.informative_threshold = 8;
+  dataset_config.seed = 20261019;
+  const Graph ppi = BuildSyntheticDataset(dataset_config).ppi;
+
+  struct Case {
+    size_t min_size;
+    size_t max_size;
+    size_t every;
+    RecordedFile recorded;
+  };
+  // Recorded from the miner that kept a copy of each level beside the
+  // results.
+  const Case cases[] = {
+      {2, 4, 1, {"mine_levels", 1417913, 0xb4554f58992f2243ULL}},
+      {3, 5, 2, {"mine_levels", 1407829, 0xcb7e01348ac5bc7bULL}},
+      {5, 5, 2, {"mine_levels", 668997, 0xb5dac97a63955685ULL}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("min_size " + std::to_string(c.min_size) + " max_size " +
+                 std::to_string(c.max_size));
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "miner_level_bytes";
+    std::filesystem::remove_all(dir);
+    MinerConfig config;
+    config.min_size = c.min_size;
+    config.max_size = c.max_size;
+    config.min_frequency = 15;
+    const std::vector<Motif> fresh = FrequentSubgraphMiner(ppi, config).Mine();
+    ASSERT_FALSE(fresh.empty());
+
+    config.checkpoint.dir = dir.string();
+    config.checkpoint.every = c.every;
+    const std::vector<Motif> saved = FrequentSubgraphMiner(ppi, config).Mine();
+    std::string bytes;
+    ASSERT_TRUE(
+        ReadFileToString(CheckpointPath(dir.string(), c.recorded.stage), &bytes)
+            .ok());
+    EXPECT_EQ(bytes.size(), c.recorded.size);
+    EXPECT_EQ(Fnv1a64(bytes), c.recorded.fnv);
+
+    config.checkpoint.resume = true;
+    const std::vector<Motif> resumed =
+        FrequentSubgraphMiner(ppi, config).Mine();
+    std::filesystem::remove_all(dir);
+    for (const std::vector<Motif>* run : {&saved, &resumed}) {
+      ASSERT_EQ(run->size(), fresh.size());
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ((*run)[i].code, fresh[i].code) << "motif " << i;
+        EXPECT_EQ((*run)[i].frequency, fresh[i].frequency) << "motif " << i;
+        EXPECT_EQ((*run)[i].occurrences, fresh[i].occurrences) << "motif " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 #include "io/motif_io.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
 #include "graph/canonical.h"
 #include "synth/go_generator.h"
+#include "util/atomic_io.h"
+#include "util/fault.h"
 
 namespace lamo {
 namespace {
@@ -116,6 +119,79 @@ TEST(LabeledMotifIoTest, UnknownTermRejected) {
   std::ofstream(path) << "labeled 3 1 1.0 0.5\nedges 0-1 1-2\n"
                       << "labels 0 NOPE\nocc 1 2 3\nend\n";
   EXPECT_TRUE(ReadLabeledMotifs(path, ontology).status().IsCorruption());
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Three motifs, each of which the writer renders and writes on its own.
+std::vector<Motif> LargeMotifs() {
+  std::vector<Motif> motifs;
+  for (VertexId i = 0; i < 3; ++i) {
+    Motif m = MakeSquareMotif();
+    m.occurrences = OccurrenceList(4);
+    for (VertexId v = 0; v < 20000; ++v) {
+      m.occurrences.push_back({v, v + 1, v + 2, v + 3 + i});
+    }
+    m.frequency = m.occurrences.size();
+    motifs.push_back(std::move(m));
+  }
+  return motifs;
+}
+
+TEST(MotifIoFaultTest, ShortWritesAndEintrGiveTheSameBytes) {
+  const std::vector<Motif> motifs = LargeMotifs();
+  const std::string path = TempPath("faulted_motifs.txt");
+  ASSERT_TRUE(WriteMotifs(motifs, path).ok());
+  const std::string want = ReadAll(path);
+  // Write calls 1-4 are the title and the three motifs: a fault inside
+  // the first motif and one inside the last.
+  for (const char* spec :
+       {"atomic.write:2:short_write", "atomic.write:4:short_write",
+        "atomic.write:2:eintr", "atomic.write:4:eintr"}) {
+    SCOPED_TRACE(spec);
+    std::filesystem::remove(path);
+    FaultArmForTest(spec);
+    const Status status = WriteMotifs(motifs, path);
+    FaultArmForTest(nullptr);
+    ASSERT_TRUE(status.ok()) << status;
+    EXPECT_EQ(ReadAll(path), want);
+  }
+}
+
+TEST(MotifIoFaultTest, InjectedErrorLeavesTheOldFileAndNoTmp) {
+  const std::string path = TempPath("error_motifs.txt");
+  ASSERT_TRUE(WriteMotifs({MakeSquareMotif()}, path).ok());
+  const std::string old = ReadAll(path);
+  FaultArmForTest("atomic.write:3:error");
+  const Status status = WriteMotifs(LargeMotifs(), path);
+  FaultArmForTest(nullptr);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(ReadAll(path), old);
+  EXPECT_FALSE(std::filesystem::exists(AtomicTmpPath(path)));
+}
+
+TEST(MotifIoFaultDeathTest, CrashBeforeRenameLeavesTheOldFile) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = TempPath("crash_motifs.txt");
+  ASSERT_TRUE(WriteMotifs({MakeSquareMotif()}, path).ok());
+  const std::string old = ReadAll(path);
+  const std::vector<Motif> motifs = LargeMotifs();
+  EXPECT_EXIT(
+      {
+        FaultArmForTest("atomic.pre_rename:1");
+        (void)WriteMotifs(motifs, path);
+      },
+      ::testing::ExitedWithCode(kFaultExitCode), "");
+  // The target is the old file, whole; the new bytes sit complete in the
+  // tmp file, and the next write replaces both.
+  EXPECT_EQ(ReadAll(path), old);
+  const std::string tmp = ReadAll(AtomicTmpPath(path));
+  ASSERT_TRUE(WriteMotifs(motifs, path).ok());
+  EXPECT_EQ(ReadAll(path), tmp);
+  EXPECT_FALSE(std::filesystem::exists(AtomicTmpPath(path)));
 }
 
 }  // namespace

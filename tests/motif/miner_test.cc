@@ -170,12 +170,65 @@ TEST(MinerDifferentialTest, MatchesSetBasedGrowerAcrossBlocksAndWaves) {
   config.min_frequency = 1;
   config.max_occurrences_per_pattern = 0;
   const MineRun run = ExpectMatchesOracle(g, config);
-  // The size-3 parents fill more than one wave of 32 blocks of 256.
+  // The size-3 parents fill more than two waves of 16 blocks of 256.
   size_t parents = 0;
   for (const Motif& m : run.motifs) {
     if (m.size() == 3) parents += m.occurrences.size();
   }
   EXPECT_GT(parents, 32u * 256u);
+}
+
+/// The wave of size-3 parents (16 blocks of 256) in which each size-4
+/// pattern of `run` that holds `cap` occurrences reached its last one.
+/// Parent g is the g-th size-3 occurrence in output order, and a size-4
+/// set is first reached from the smallest g among its size-3 subsets.
+std::vector<size_t> CapFillWaves(const MineRun& run, size_t cap) {
+  std::map<std::vector<VertexId>, size_t> parent_index;
+  for (const Motif& m : run.motifs) {
+    if (m.size() != 3) continue;
+    for (const std::span<const VertexId> occ : m.occurrences) {
+      std::vector<VertexId> set(occ.begin(), occ.end());
+      std::sort(set.begin(), set.end());
+      parent_index.emplace(set, parent_index.size());
+    }
+  }
+  std::vector<size_t> waves;
+  for (const Motif& m : run.motifs) {
+    if (m.size() != 4 || m.frequency != cap) continue;
+    const std::span<const VertexId> last = m.occurrences[cap - 1];
+    size_t first_parent = SIZE_MAX;
+    for (size_t u = 0; u < 4; ++u) {
+      std::vector<VertexId> sub;
+      for (size_t i = 0; i < 4; ++i) {
+        if (i != u) sub.push_back(last[i]);
+      }
+      std::sort(sub.begin(), sub.end());
+      const auto it = parent_index.find(sub);
+      if (it != parent_index.end()) {
+        first_parent = std::min(first_parent, it->second);
+      }
+    }
+    waves.push_back(first_parent / (16 * 256));
+  }
+  return waves;
+}
+
+TEST(MinerDifferentialTest, MatchesSetBasedGrowerWhenCapsFillAcrossWaves) {
+  // Level 4 grows from several waves of size-3 parents. One size-4
+  // pattern reaches the cap inside the first wave, so later waves count
+  // its new sets but keep none of them; another reaches it in the second
+  // wave, after the first left it short of the cap.
+  Rng rng(77);
+  const Graph g = BarabasiAlbert(400, 3, rng);
+  MinerConfig config;
+  config.min_size = 3;
+  config.max_size = 4;
+  config.min_frequency = 1;
+  config.max_occurrences_per_pattern = 60000;
+  const std::vector<size_t> waves =
+      CapFillWaves(ExpectMatchesOracle(g, config), 60000);
+  EXPECT_NE(std::find(waves.begin(), waves.end(), 0), waves.end());
+  EXPECT_NE(std::find(waves.begin(), waves.end(), 1), waves.end());
 }
 
 TEST(MinerDifferentialTest, MatchesSetBasedGrowerPastCanonCacheSizes) {
