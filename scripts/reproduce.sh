@@ -5,13 +5,32 @@
 set -e
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+# /bin/sh may lack pipefail, so `cmd | tee file` would let a failing cmd
+# (a missed speedup gate, say) pass under set -e. Every stage instead writes
+# its file first, shows it, and then returns the stage's own exit status.
+run_to() {
+  out="$1"
+  shift
+  rc=0
+  "$@" > "$out" || rc=$?
+  cat "$out"
+  return "$rc"
+}
+
+# The default generator, so a build/ configured by the tier-1 command
+# (`cmake -B build -S .`) is reused rather than rejected; -j keeps the
+# Makefile build parallel.
+JOBS="$(nproc 2> /dev/null || echo 2)"
+cmake -B build
+cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure
 
 OUT=reproduction_output
 mkdir -p "$OUT"
 for bench in build/bench/*; do
+  # build/bench also holds the generator's files (CMakeFiles, Makefile,
+  # cmake_install.cmake); only the bench executables are stages.
+  [ -f "$bench" ] && [ -x "$bench" ] || continue
   name="$(basename "$bench")"
   echo "== $name =="
   case "$name" in
@@ -19,25 +38,25 @@ for bench in build/bench/*; do
       # google-benchmark harnesses also emit machine-readable JSON (the
       # thread-sweep benchmarks tag each measurement with a "threads"
       # counter) so later PRs can track parallel speedup over time.
-      "$bench" --benchmark_out="$OUT/$name.json" \
-        --benchmark_out_format=json | tee "$OUT/$name.txt"
+      run_to "$OUT/$name.txt" "$bench" --benchmark_out="$OUT/$name.json" \
+        --benchmark_out_format=json
       ;;
     bench_update)
       # Dynamic-interactome perf gate: one incremental UpdateEngine::Apply
       # must beat a full re-mine+relabel+repack by 10x; BENCH_update.json
       # archives the measured ratio so the incremental path is tracked
       # across PRs like the mining and routing throughput numbers.
-      "$bench" --json "$OUT/BENCH_update.json" --min-speedup 10 \
-        | tee "$OUT/$name.txt"
+      run_to "$OUT/$name.txt" \
+        "$bench" --json "$OUT/BENCH_update.json" --min-speedup 10
       ;;
     bench_fig9_precision_recall)
       # Also archives the registered-backend comparison (LabeledMotif vs
       # GDS vs RoleSimilarity leave-one-out P/R, the same backends `lamo
       # serve --predictor` offers) as BENCH_predictors.json.
-      "$bench" --json "$OUT/BENCH_predictors.json" | tee "$OUT/$name.txt"
+      run_to "$OUT/$name.txt" "$bench" --json "$OUT/BENCH_predictors.json"
       ;;
     *)
-      "$bench" | tee "$OUT/$name.txt"
+      run_to "$OUT/$name.txt" "$bench"
       ;;
   esac
 done
@@ -48,10 +67,9 @@ done
 # engine's throughput is tracked across PRs exactly like the serving and
 # routing benchmarks (EXPERIMENTS.md records the baseline).
 echo "== mining perf gate (BENCH_mine.json) =="
-build/bench/bench_scaling \
+run_to "$OUT/mine_bench.txt" build/bench/bench_scaling \
   --benchmark_filter=BM_EsuEnumerationThreads \
-  --benchmark_out="$OUT/BENCH_mine.json" --benchmark_out_format=json \
-  | tee "$OUT/mine_bench.txt"
+  --benchmark_out="$OUT/BENCH_mine.json" --benchmark_out_format=json
 
 # Observability artifacts: run the ESU pipeline with --report/--stats over
 # a pinned synthetic dataset, validate the JSON against the documented
@@ -81,112 +99,19 @@ build/tools/lamo_report_check "$OUT/label_report.json" \
 # chrome://tracing or ui.perfetto.dev; keep their terminal digests next to
 # them so span coverage can be compared across PRs without a browser.
 echo "== span traces (lamo mine/label --trace) =="
-build/tools/lamo_trace_summary "$OUT/mine_trace.json" \
-  | tee "$OUT/mine_trace_summary.txt"
-build/tools/lamo_trace_summary "$OUT/label_trace.json" \
-  | tee "$OUT/label_trace_summary.txt"
+run_to "$OUT/mine_trace_summary.txt" \
+  build/tools/lamo_trace_summary "$OUT/mine_trace.json"
+run_to "$OUT/label_trace_summary.txt" \
+  build/tools/lamo_trace_summary "$OUT/label_trace.json"
 
-# Serving artifacts: pack the obs dataset into a snapshot, serve it over
-# TCP, load-test with 4 concurrent connections and archive the throughput +
-# p50/p99 numbers (BENCH_serve.json) plus the daemon's own run report, with
-# the serve.* counter/histogram invariants validated by lamo_report_check.
-echo "== serving (lamo pack/serve + bench client) =="
-build/tools/lamo pack --graph "$OUT/obs_ds.graph.txt" \
-  --obo "$OUT/obs_ds.obo" --annotations "$OUT/obs_ds.annotations.tsv" \
-  --labeled "$OUT/obs_labeled.txt" --out "$OUT/obs_model.lamosnap" \
-  | tee "$OUT/pack.txt"
-build/tools/lamo serve --snapshot "$OUT/obs_model.lamosnap" --port 0 \
-  --report "$OUT/serve_report.json" \
-  --access-log "$OUT/serve_access.jsonl" --access-sample 5 --slow-ms 50 \
-  > "$OUT/serve.log" 2>&1 &
-SERVE_PID=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-    "$OUT/serve.log")"
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-test -n "$PORT"
-build/tools/lamo_bench_client --port "$PORT" --connections 4 \
-  --requests 100 --out "$OUT/BENCH_serve.json" | tee "$OUT/serve_bench.txt"
-# Archive a live METRICS scrape (Prometheus text exposition) and validate it
-# against the documented grammar; after shutdown the scraped totals must sit
-# within the final --report counters.
-build/tools/lamo_bench_client --port "$PORT" --query METRICS \
-  > "$OUT/serve_metrics.txt"
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-build/tools/lamo_metrics_check "$OUT/serve_metrics.txt" \
-  --report "$OUT/serve_report.json"
-build/tools/lamo_report_check "$OUT/serve_report.json" serve.requests \
-  serve.connections serve.access_logged hist:serve.request_us
-
-# Cluster routing artifacts: shard the snapshot, then bench the SAME
-# workload against 1, 2 and 4 sharded backends behind `lamo router` —
-# BENCH_router.json archives the throughput scaling curve, and the router's
-# own run report is validated against the router.* invariants
-# (backend request sums == proxied, retries <= requests).
-echo "== cluster routing (lamo router + bench client scaling) =="
-build/tools/lamo pack --graph "$OUT/obs_ds.graph.txt" \
-  --obo "$OUT/obs_ds.obo" --annotations "$OUT/obs_ds.annotations.tsv" \
-  --labeled "$OUT/obs_labeled.txt" --out "$OUT/obs_model.lamosnap" \
-  --shards 2 > /dev/null
-build/tools/lamo pack --graph "$OUT/obs_ds.graph.txt" \
-  --obo "$OUT/obs_ds.obo" --annotations "$OUT/obs_ds.annotations.tsv" \
-  --labeled "$OUT/obs_labeled.txt" --out "$OUT/obs_model.lamosnap" \
-  --shards 4 > /dev/null
-PROTEINS=500
-: > "$OUT/router_bench.txt"
-for N in 1 2 4; do
-  rm -f "$OUT/router.log"
-  build/tools/lamo router --snapshot "$OUT/obs_model.lamosnap" \
-    --backends "$N" --mode sharded --port 0 \
-    --report "$OUT/router_report_${N}.json" \
-    --access-log "$OUT/router_access_${N}.jsonl" --access-sample 5 \
-    --backend-access-log "$OUT/backend_access_${N}.jsonl" --slow-ms 50 \
-    > "$OUT/router.log" 2>&1 &
-  ROUTER_PID=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-      "$OUT/router.log")"
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  test -n "$PORT"
-  build/tools/lamo_bench_client --port "$PORT" --cluster \
-    --proteins "$PROTEINS" --connections 4 --requests 100 \
-    --name "router/sharded_x$N" --out "$OUT/BENCH_router_${N}.json" \
-    | tee -a "$OUT/router_bench.txt"
-  # Aggregated scrape: the router's own series plus every backend's,
-  # re-exported with backend=/shard= labels.
-  build/tools/lamo_bench_client --port "$PORT" --query METRICS \
-    > "$OUT/router_metrics_${N}.txt"
-  kill -TERM "$ROUTER_PID"
-  wait "$ROUTER_PID"
-  build/tools/lamo_metrics_check "$OUT/router_metrics_${N}.txt" \
-    --report "$OUT/router_report_${N}.json"
-  build/tools/lamo_report_check "$OUT/router_report_${N}.json" \
-    router.requests router.proxied router.backend_requests \
-    router.ids_issued hist:router.request_us
-done
-# Stitch the three scaling points into one BENCH_router.json (same shape as
-# the per-run files: one context, benchmarks array ordered 1 -> 2 -> 4).
-python3 - "$OUT" << 'PYEOF'
-import json, sys
-d = sys.argv[1]
-merged = None
-for n in (1, 2, 4):
-    with open(f"{d}/BENCH_router_{n}.json") as f:
-        run = json.load(f)
-    if merged is None:
-        merged = run
-    else:
-        merged["benchmarks"].extend(run["benchmarks"])
-with open(f"{d}/BENCH_router.json", "w") as f:
-    json.dump(merged, f, indent=1)
-PYEOF
+# Serve and router latency: perfbench is the one harness that measures
+# them (open-loop reads on one lamo serve, routed reads beside an update
+# trickle on a 2-shard lamo router, plus the offline build), checking every
+# answer and validating each daemon's --report with lamo_report_check on the
+# traced runs. Its table of end-to-end and per-layer metrics is archived
+# here; perfbench/README.md defines each metric.
+echo "== serve + router latency (perfbench) =="
+run_to "$OUT/perfbench.txt" python3 perfbench/run.py --all --seed 1 --trace 1
 
 # ThreadSanitizer smoke run of the parallel runtime, the tracer and the
 # serving stack: rebuilds those tests under -fsanitize=thread and fails on
@@ -203,9 +128,10 @@ PYEOF
 # TermSimilarity).
 echo "== tsan smoke (parallel runtime + tracer + serve + router + motif" \
   "+ predict + labeling) =="
-cmake -B build-tsan -G Ninja -DLAMO_SANITIZE=thread
-cmake --build build-tsan --target parallel_tests obs_tests serve_tests \
-  router_tests motif_tests predict_tests core_tests ontology_tests
+cmake -B build-tsan -DLAMO_SANITIZE=thread
+cmake --build build-tsan -j "$JOBS" --target parallel_tests obs_tests \
+  serve_tests router_tests motif_tests predict_tests core_tests \
+  ontology_tests
 LAMO_THREADS=4 ./build-tsan/tests/parallel_tests
 LAMO_THREADS=4 ./build-tsan/tests/obs_tests
 LAMO_THREADS=4 ./build-tsan/tests/serve_tests
@@ -231,8 +157,8 @@ LAMO_THREADS=4 ./build-tsan/tests/ontology_tests
 # the labeled-motif codec (its round trips run in motif_tests).
 echo "== asan smoke (util + core + motif + graph + obs + serve + router" \
   "+ predict + fuzz) =="
-cmake -B build-asan -G Ninja -DLAMO_SANITIZE=address
-cmake --build build-asan --target util_tests core_tests motif_tests \
+cmake -B build-asan -DLAMO_SANITIZE=address
+cmake --build build-asan -j "$JOBS" --target util_tests core_tests motif_tests \
   graph_tests obs_tests serve_tests io_tests router_tests predict_tests
 LAMO_THREADS=4 ./build-asan/tests/util_tests
 LAMO_THREADS=4 ./build-asan/tests/core_tests

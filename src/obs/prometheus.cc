@@ -243,6 +243,56 @@ bool ParsePromFamilies(const std::string& text,
   return true;
 }
 
+bool ParsePromSample(const std::string& line, PromSample* sample,
+                     std::string* error) {
+  const size_t name_end = line.find_first_of("{ ");
+  if (name_end == std::string::npos) {
+    *error = "no value in sample '" + line + "'";
+    return false;
+  }
+  sample->name = line.substr(0, name_end);
+  sample->labels.clear();
+  size_t pos = name_end;
+  if (line[pos] == '{') {
+    ++pos;
+    while (pos < line.size() && line[pos] != '}') {
+      const size_t eq = line.find('=', pos);
+      if (eq == std::string::npos || eq + 1 >= line.size() ||
+          line[eq + 1] != '"') {
+        *error = "malformed label in '" + line + "'";
+        return false;
+      }
+      const std::string key = line.substr(pos, eq - pos);
+      std::string value;
+      size_t v = eq + 2;
+      while (v < line.size() && line[v] != '"') {
+        if (line[v] == '\\' && v + 1 < line.size()) ++v;
+        value += line[v++];
+      }
+      if (v >= line.size()) {
+        *error = "unterminated label value in '" + line + "'";
+        return false;
+      }
+      sample->labels[key] = value;
+      pos = v + 1;
+      if (pos < line.size() && line[pos] == ',') ++pos;
+    }
+    if (pos >= line.size() || line[pos] != '}') {
+      *error = "unterminated label set in '" + line + "'";
+      return false;
+    }
+    ++pos;
+  }
+  while (pos < line.size() && line[pos] == ' ') ++pos;
+  char* end = nullptr;
+  sample->value = std::strtod(line.c_str() + pos, &end);
+  if (end == line.c_str() + pos || *end != '\0') {
+    *error = "non-numeric value in '" + line + "'";
+    return false;
+  }
+  return true;
+}
+
 std::string InjectPromLabels(const std::string& sample,
                              const std::string& labels) {
   if (labels.empty()) return sample;

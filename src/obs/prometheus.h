@@ -2,6 +2,7 @@
 #define LAMO_OBS_PROMETHEUS_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,8 @@ namespace lamo {
 /// served by the METRICS wire verb of `lamo serve` and `lamo router`. The
 /// router additionally parses each backend's exposition and re-exports the
 /// series with `backend`/`shard` labels injected, so the parser half lives
-/// here too (shared with tools/lamo_metrics_check).
+/// here too (shared with tools/lamo_metrics_check and lamo_bench_client
+/// --top).
 ///
 /// Conventions:
 ///   * obs names map 1:1 to metric names: `serve.request_us` becomes
@@ -64,6 +66,20 @@ std::vector<std::string> RenderPromLines(const std::vector<PromFamily>& families
 /// On failure returns false with a message in `*error`.
 bool ParsePromFamilies(const std::string& text,
                        std::vector<PromFamily>* families, std::string* error);
+
+/// One sample line split into its bare name, label set and numeric value.
+struct PromSample {
+  std::string name;
+  std::map<std::string, std::string> labels;  ///< escapes (`\"`) resolved
+  double value = 0.0;
+};
+
+/// Splits `name{k="v",...} value` (labels optional) with strict label-pair
+/// syntax: every label is `key="value"`, a backslash escapes the next byte
+/// of a value, and the set must close before the value. On failure returns
+/// false with a message in `*error`.
+bool ParsePromSample(const std::string& line, PromSample* sample,
+                     std::string* error);
 
 /// Returns `sample` with `labels` (e.g. `backend="0",shard="0/2"`) injected
 /// into its label set, creating one when absent.

@@ -94,7 +94,7 @@ wait_port "$WORK/serve.log"
 SPORT="$PORT"
 
 "$BENCH" --port "$SPORT" --proteins 300 --connections 4 --requests 50 \
-  --out "$WORK/bench_serve.json" > /dev/null
+  > /dev/null
 # STATS carries the uptime/start-time fields backing the window rates.
 "$BENCH" --port "$SPORT" --query "STATS" > "$WORK/serve_stats.txt"
 grep -q "uptime_s " "$WORK/serve_stats.txt" || {
@@ -169,7 +169,7 @@ SERVER=""
   echo "FAIL: serve METRICS exceeded final --report totals" >&2
   exit 1
 }
-"$REPORT_CHECK" "$WORK/serve_report.json" serve.requests \
+"$REPORT_CHECK" "$WORK/serve_report.json" serve.requests serve.connections \
   serve.access_logged update.applied hist:serve.request_us > /dev/null
 grep -q '"id":' "$WORK/serve_access.jsonl" || {
   echo "FAIL: serve access log is empty" >&2
@@ -186,10 +186,10 @@ ROUTER=$!
 wait_port "$WORK/router.log"
 RPORT="$PORT"
 
-"$BENCH" --port "$RPORT" --cluster --proteins 300 --connections 4 \
-  --requests 100 --out "$WORK/bench_router.json" > /dev/null
-grep -q '"errors":0' "$WORK/bench_router.json" || {
-  echo "FAIL: bench over the router saw errors" >&2
+"$BENCH" --port "$RPORT" --proteins 300 --connections 4 --requests 100 \
+  > /dev/null 2> "$WORK/bench_router.err" || {
+  echo "FAIL: load run over the router saw errors" >&2
+  cat "$WORK/bench_router.err" >&2
   exit 1
 }
 "$BENCH" --port "$RPORT" --query "STATS" > "$WORK/router_stats.txt"
@@ -238,6 +238,14 @@ grep -q "backend 0 " "$WORK/top.txt" || {
   echo "FAIL: --top output lacks the per-backend STATS lines" >&2
   exit 1
 }
+# Table rows: re-exported series keyed by their backend= label, the
+# router's own series by "-".
+grep -q "^lamo_[a-z_]*_per_sec  *0  " "$WORK/top.txt" &&
+  grep -q "^lamo_router_[a-z_]*_per_sec  *-  " "$WORK/top.txt" || {
+  echo "FAIL: --top table lacks backend-labeled or router rows" >&2
+  cat "$WORK/top.txt" >&2
+  exit 1
+}
 
 kill -TERM "$ROUTER"
 wait "$ROUTER" || {
@@ -278,7 +286,7 @@ grep -q '"backend":' "$WORK/router_access.jsonl" || {
   exit 1
 }
 "$REPORT_CHECK" "$WORK/router_report.json" router.requests \
-  router.ids_issued router.backend_requests > /dev/null
+  router.ids_issued router.backend_requests hist:router.request_us > /dev/null
 
 echo "metrics OK: exposition validated on serve+router, ids round-trip" \
   "$(wc -l < "$WORK/router_ids.txt" | tr -d ' ') requests, access log" \

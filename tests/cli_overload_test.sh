@@ -18,6 +18,20 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Invalid arguments print usage and exit 2 before any connection opens;
+# --port above 65535 must not wrap around to some other port.
+for args in "--port 70000 --query HEALTH" "--port 65536 --query HEALTH" \
+    "--port 0 --query HEALTH" "--port -1 --query HEALTH"; do
+  rc=0
+  # shellcheck disable=SC2086  # word-split the argument list on purpose
+  "$BENCH" $args > /dev/null 2> "$WORK/badargs.err" || rc=$?
+  test "$rc" -eq 2 && grep -q "usage:" "$WORK/badargs.err" || {
+    echo "FAIL: bench client '$args' exited $rc, want usage + exit 2" >&2
+    cat "$WORK/badargs.err" >&2
+    exit 1
+  }
+done
+
 "$LAMO" generate --proteins 300 --copies 30 --seed 5 --out "$WORK/ds" \
   > /dev/null
 "$LAMO" mine --graph "$WORK/ds.graph.txt" --algo esu --min-size 3 \

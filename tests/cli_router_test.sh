@@ -159,12 +159,11 @@ cp "$WORK/model.lamosnap" "$WORK/model_v2.lamosnap"
   --annotations "$WORK/ds.annotations.tsv" --labeled "$WORK/labeled.txt" \
   --out "$WORK/model_v2.lamosnap" --shards 2 > /dev/null
 
-# RELOAD under load: bench hammers the cluster while the swap rolls through
-# both backends; the bench run must finish with ZERO errors and zero
-# transport failures (exit 0), and every request answered.
-"$BENCH" --port "$RPORT" --cluster --proteins 300 --connections 4 \
-  --requests 250 --name "router/reload_under_load" \
-  --out "$WORK/bench_reload.json" > "$WORK/bench_reload.out" 2>&1 &
+# RELOAD under load: a load run hammers the cluster while the swap rolls
+# through both backends; it must finish with ZERO errors and zero transport
+# failures (exit 0), and every request answered.
+"$BENCH" --port "$RPORT" --proteins 300 --connections 4 --requests 250 \
+  > "$WORK/bench_reload.out" 2>&1 &
 BENCH_PID=$!
 sleep 0.3
 "$BENCH" --port "$RPORT" --query "RELOAD $WORK/model_v2.lamosnap" \
@@ -174,17 +173,14 @@ grep -q "reloaded backends=2" "$WORK/reload_answer.txt" || {
   exit 1
 }
 wait "$BENCH_PID" || {
-  echo "FAIL: bench run over rolling reload saw errors:" >&2
+  echo "FAIL: load run over rolling reload saw errors:" >&2
   cat "$WORK/bench_reload.out" >&2
   exit 1
 }
-if grep -q '"errors":[1-9]' "$WORK/bench_reload.json"; then
-  echo "FAIL: bench JSON reports client-visible errors during reload" >&2
-  cat "$WORK/bench_reload.json" >&2
-  exit 1
-fi
-grep -q '"per_connection"' "$WORK/bench_reload.json" || {
-  echo "FAIL: bench JSON lacks the per_connection breakdown" >&2
+grep -q "4 connections x 250 requests: 1000 OK, 0 ERR" \
+  "$WORK/bench_reload.out" || {
+  echo "FAIL: load run over rolling reload did not answer every request" >&2
+  cat "$WORK/bench_reload.out" >&2
   exit 1
 }
 

@@ -82,12 +82,9 @@ for protein in 0 7 17 42 123; do
   }
 done
 
-# Concurrency + latency: 4 connections x 50 requests, archived as benchmark
-# JSON with throughput and p50/p99.
-"$BENCH" --port "$PORT" --connections 4 --requests 50 \
-  --out "$WORK/BENCH_serve.json" > /dev/null
-grep -q '"p99_us"' "$WORK/BENCH_serve.json"
-grep -q '"errors":0' "$WORK/BENCH_serve.json"
+# Concurrency: 4 connections x 50 requests, every one answered OK (the load
+# run exits nonzero on any ERR or transport failure).
+"$BENCH" --port "$PORT" --connections 4 --requests 50 > /dev/null
 
 # Graceful shutdown: SIGTERM -> drain -> exit 0, report written and valid
 # (including the serve.* counter/histogram invariants).

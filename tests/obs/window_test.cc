@@ -248,6 +248,53 @@ TEST(PrometheusTest, ParserRejectsMalformedInput) {
       << error;
 }
 
+TEST(PrometheusTest, SampleParserSplitsLabelsAndUnescapesValues) {
+  PromSample sample;
+  std::string error;
+  ASSERT_TRUE(ParsePromSample("lamo_x 7", &sample, &error)) << error;
+  EXPECT_EQ(sample.name, "lamo_x");
+  EXPECT_TRUE(sample.labels.empty());
+  EXPECT_EQ(sample.value, 7.0);
+
+  ASSERT_TRUE(ParsePromSample(
+      "lamo_rate{backend=\"1\",shard=\"1/2\",window=\"10s\"} 61.5", &sample,
+      &error))
+      << error;
+  EXPECT_EQ(sample.name, "lamo_rate");
+  const std::map<std::string, std::string> labels = {
+      {"backend", "1"}, {"shard", "1/2"}, {"window", "10s"}};
+  EXPECT_EQ(sample.labels, labels);
+  EXPECT_EQ(sample.value, 61.5);
+
+  // An escaped quote stays inside the value instead of ending it, and so
+  // does a comma or brace; the escaped backslash yields one backslash.
+  ASSERT_TRUE(ParsePromSample(
+      "lamo_x{path=\"a\\\"b,}c\",dir=\"x\\\\\"} 1", &sample, &error))
+      << error;
+  EXPECT_EQ(sample.labels.at("path"), "a\"b,}c");
+  EXPECT_EQ(sample.labels.at("dir"), "x\\");
+  EXPECT_EQ(sample.value, 1.0);
+
+  // Every malformed shape lamo_metrics_check rejects.
+  const char* kMalformed[] = {
+      "lamo_x",                  // no value at all
+      "lamo_x{a} 1",             // label without '='
+      "lamo_x{a=b} 1",           // unquoted label value
+      "lamo_x{a=\"b} 1",         // unterminated label value
+      "lamo_x{a=\"b\\\"} 1",     // escaped quote leaves the value open
+      "lamo_x{a=\"b\" 1",        // label set never closed
+      "lamo_x{a=\"b\",c=\"d\"",  // label set ends the line
+      "lamo_x abc",              // non-numeric value
+      "lamo_x 1 2",              // trailing garbage after the value
+      "lamo_x{a=\"b\"}",         // labels but no value
+  };
+  for (const char* line : kMalformed) {
+    error.clear();
+    EXPECT_FALSE(ParsePromSample(line, &sample, &error)) << line;
+    EXPECT_FALSE(error.empty()) << line;
+  }
+}
+
 TEST(PrometheusTest, InjectedLabelsMergeIntoExistingSets) {
   EXPECT_EQ(InjectPromLabels("m 1", "backend=\"0\""), "m{backend=\"0\"} 1");
   EXPECT_EQ(InjectPromLabels("m{le=\"8\"} 1", "backend=\"0\""),

@@ -22,6 +22,20 @@ test -s "$WORK/mine.trace.json"
 "$SUMMARY" "$WORK/mine.trace.json" > "$WORK/mine.summary.txt"
 head -n 1 "$WORK/mine.summary.txt"
 
+# A malformed or unknown flag prints usage and exits 2 instead of being
+# ignored; a well-formed --top still works.
+for args in "--top abc" "--top" "--top 0" "--top -3" "--frobnicate"; do
+  rc=0
+  # shellcheck disable=SC2086  # word-split the argument list on purpose
+  "$SUMMARY" "$WORK/mine.trace.json" $args > /dev/null 2> "$WORK/bad.err" \
+    || rc=$?
+  test "$rc" -eq 2 && grep -q "usage:" "$WORK/bad.err" || {
+    echo "FAIL: lamo_trace_summary '$args' exited $rc, want usage + exit 2" >&2
+    exit 1
+  }
+done
+"$SUMMARY" "$WORK/mine.trace.json" --top 3 > /dev/null
+
 # "trace: <events> events, <names> span names, <threads> threads, <n> dropped"
 read -r _ events _ names _ _ threads _ _ _ << EOF
 $(head -n 1 "$WORK/mine.summary.txt")

@@ -1,16 +1,15 @@
-// lamo_bench_client — load generator and one-shot client for `lamo serve`.
+// lamo_bench_client — load driver and one-shot client for `lamo serve` and
+// `lamo router`. It checks answers; it does not measure latency (perfbench
+// owns every serve and router latency figure, see perfbench/README.md).
 //
-//   lamo_bench_client --port 7471 --connections 4 --requests 200 \
-//       --out BENCH_serve.json
+//   lamo_bench_client --port 7471 --connections 4 --requests 200
 //   lamo_bench_client --port 7471 --query "PREDICT 42 3"
 //
-// Bench mode opens N concurrent TCP connections to 127.0.0.1:<port>, each
+// Load mode opens N concurrent TCP connections to 127.0.0.1:<port>, each
 // issuing M requests back-to-back (a fixed deterministic mix of PREDICT and
-// MOTIFS over the snapshot's protein range), and reports throughput plus
-// p50/p90/p99 request latency. --out writes the numbers in the same
-// {"context":..., "benchmarks":[...]} shape as the google-benchmark JSON
-// the other bench harnesses archive, so BENCH_serve.json can be tracked
-// across PRs next to bench_micro.json and bench_scaling.json.
+// MOTIFS over the target's protein range), and exits 0 only if every
+// request was answered OK with no transport failure; on any ERR it exits 1
+// and names the first failing request.
 //
 // Query mode sends one request line and prints the payload lines verbatim
 // (exit 0 on OK, 1 on ERR) — the byte-compare hook used by
@@ -22,20 +21,16 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "obs/json.h"
+#include "obs/prometheus.h"
 #include "util/string_util.h"
 
 namespace lamo {
@@ -45,19 +40,17 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: lamo_bench_client --port P [--connections N] [--requests M]\n"
-      "                         [--out FILE.json] [--name BENCH_NAME]\n"
-      "                         [--cluster --proteins N]\n"
+      "                         [--proteins N]\n"
       "                         [--query \"REQUEST LINE\"]\n"
       "                         [--abuse slowloris|longline|halfclose|burst]\n"
       "                         [--top [--watch N] [--interval-ms MS]]\n"
-      "Bench mode (default): N connections x M requests against the lamo\n"
-      "serve daemon on 127.0.0.1:P; prints throughput and latency\n"
-      "percentiles, and with --out writes them as benchmark JSON (aggregate\n"
-      "plus per-connection error counts and max latency).\n"
-      "--cluster targets a lamo router front-end instead: the HEALTH probe\n"
-      "expects the cluster view (ready/degraded backends=U/N ...), and the\n"
-      "protein range for the request mix comes from --proteins (required,\n"
-      "since the cluster HEALTH line carries no protein count).\n"
+      "Load mode (default): N connections x M requests of a fixed\n"
+      "PREDICT/MOTIFS mix against lamo serve or lamo router on\n"
+      "127.0.0.1:P (port 1..65535); exit 0 iff every request was answered\n"
+      "OK, else exit 1 naming the first failing request. A HEALTH probe\n"
+      "must answer `ready ...`; the protein range is --proteins when\n"
+      "given, else HEALTH's proteins=N (a router's HEALTH carries none, so\n"
+      "it needs --proteins). Latency is measured by perfbench, not here.\n"
       "Query mode (--query): send one request, print the payload lines\n"
       "verbatim; exit 0 on OK, 1 on ERR.\n"
       "Top mode (--top): poll STATS + METRICS and print the raw stats (one\n"
@@ -180,11 +173,10 @@ int RunQuery(uint16_t port, const std::string& query) {
 }
 
 struct WorkerResult {
-  std::vector<double> latencies_us;
   uint64_t ok = 0;
   uint64_t err = 0;
   bool transport_failed = false;
-  // The first failing request this connection saw, reported when the bench
+  // The first failing request this connection saw, reported when the run
   // exits nonzero so an ERR deep inside a long run is diagnosable.
   std::string first_err_request;
   std::string first_err_header;
@@ -198,13 +190,12 @@ void RunWorker(uint16_t port, size_t index, size_t requests,
     return;
   }
   LineReader reader(fd);
-  result->latencies_us.reserve(requests);
   char request[64];
   for (size_t i = 0; i < requests; ++i) {
     // Deterministic mix: 3 PREDICTs then a MOTIFS, proteins striding the
     // snapshot range differently per connection so cache hits and misses
     // both occur.
-    const size_t protein = (index * 131 + i * 17) % std::max<size_t>(1, num_proteins);
+    const size_t protein = (index * 131 + i * 17) % num_proteins;
     if (i % 4 == 3) {
       std::snprintf(request, sizeof request, "MOTIFS %zu", protein);
     } else {
@@ -212,14 +203,10 @@ void RunWorker(uint16_t port, size_t index, size_t requests,
     }
     std::string header;
     std::vector<std::string> payload;
-    const auto start = std::chrono::steady_clock::now();
     if (!RoundTrip(fd, reader, request, &header, &payload)) {
       result->transport_failed = true;
       break;
     }
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    result->latencies_us.push_back(
-        std::chrono::duration<double, std::micro>(elapsed).count());
     if (header.rfind("OK", 0) == 0) {
       ++result->ok;
     } else {
@@ -233,21 +220,24 @@ void RunWorker(uint16_t port, size_t index, size_t requests,
   ::close(fd);
 }
 
-double Percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const size_t index = static_cast<size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(index, sorted.size() - 1)];
+/// The protein count a HEALTH payload advertises (`proteins=N`), or 0 when
+/// it carries none — a router's cluster view does not.
+size_t HealthProteins(const std::string& health) {
+  const size_t marker = health.find("proteins=");
+  if (marker == std::string::npos) return 0;
+  const std::string tail = health.substr(marker + 9);
+  uint64_t parsed = 0;
+  if (!ParseUint64(tail.substr(0, tail.find(' ')), &parsed)) return 0;
+  return static_cast<size_t>(parsed);
 }
 
-int RunBench(uint16_t port, size_t connections, size_t requests,
-             const std::string& out_path, const std::string& bench_name,
-             bool cluster, size_t proteins_override) {
-  // Untimed HEALTH probe: checks the server is up and learns the protein
-  // count so the request mix spans the real snapshot range. A router's
-  // cluster HEALTH carries no protein count, so --cluster takes the range
-  // from --proteins and instead verifies every backend is up.
-  size_t num_proteins = proteins_override > 0 ? proteins_override : 1;
+int RunLoad(uint16_t port, size_t connections, size_t requests,
+            size_t proteins_override) {
+  // HEALTH probe first: the target must report `ready` (a serve daemon's
+  // `ready proteins=N ...`, or a router's `ready backends=U/N ...` with
+  // every backend up) and, unless --proteins is given, the protein count
+  // the request mix spans.
+  std::string health;
   {
     const int fd = Connect(port);
     if (fd < 0) {
@@ -257,209 +247,63 @@ int RunBench(uint16_t port, size_t connections, size_t requests,
     LineReader reader(fd);
     std::string header;
     std::vector<std::string> payload;
-    if (!RoundTrip(fd, reader, "HEALTH", &header, &payload) ||
-        payload.empty()) {
+    const bool ok = RoundTrip(fd, reader, "HEALTH", &header, &payload) &&
+                    !payload.empty();
+    ::close(fd);
+    if (!ok) {
       std::fprintf(stderr, "error: HEALTH probe failed\n");
-      ::close(fd);
       return 1;
     }
-    ::close(fd);
-    if (cluster) {
-      if (payload[0].rfind("ready", 0) != 0) {
-        std::fprintf(stderr, "error: cluster not ready: %s\n",
-                     payload[0].c_str());
-        return 1;
-      }
-    } else if (proteins_override == 0) {
-      const size_t marker = payload[0].find("proteins=");
-      if (marker != std::string::npos) {
-        uint64_t parsed = 0;
-        const std::string tail = payload[0].substr(marker + 9);
-        ParseUint64(tail.substr(0, tail.find(' ')), &parsed);
-        if (parsed > 0) num_proteins = static_cast<size_t>(parsed);
-      }
-    }
+    health = payload[0];
+  }
+  if (health.rfind("ready", 0) != 0) {
+    std::fprintf(stderr, "error: target not ready: %s\n", health.c_str());
+    return 1;
+  }
+  const size_t num_proteins =
+      proteins_override > 0 ? proteins_override : HealthProteins(health);
+  if (num_proteins == 0) {
+    std::fprintf(stderr,
+                 "error: HEALTH carries no protein count (%s); pass "
+                 "--proteins N\n",
+                 health.c_str());
+    return Usage();
   }
 
   std::vector<WorkerResult> results(connections);
   std::vector<std::thread> workers;
   workers.reserve(connections);
-  const auto bench_start = std::chrono::steady_clock::now();
   for (size_t c = 0; c < connections; ++c) {
     workers.emplace_back(RunWorker, port, c, requests, num_proteins,
                          &results[c]);
   }
   for (std::thread& worker : workers) worker.join();
-  const auto bench_elapsed = std::chrono::steady_clock::now() - bench_start;
-  const double wall_s =
-      std::chrono::duration<double>(bench_elapsed).count();
 
-  std::vector<double> latencies;
   uint64_t ok = 0, err = 0;
   bool transport_failed = false;
   for (const WorkerResult& r : results) {
-    latencies.insert(latencies.end(), r.latencies_us.begin(),
-                     r.latencies_us.end());
     ok += r.ok;
     err += r.err;
     transport_failed = transport_failed || r.transport_failed;
   }
+  std::printf("%zu connections x %zu requests: %llu OK, %llu ERR\n",
+              connections, requests, static_cast<unsigned long long>(ok),
+              static_cast<unsigned long long>(err));
   if (transport_failed) {
     std::fprintf(stderr, "error: at least one connection failed mid-run\n");
     return 1;
   }
-  std::sort(latencies.begin(), latencies.end());
-  double sum = 0;
-  for (double v : latencies) sum += v;
-  const double mean = latencies.empty() ? 0 : sum / latencies.size();
-  const double throughput = wall_s > 0 ? latencies.size() / wall_s : 0;
-  const double p50 = Percentile(latencies, 0.50);
-  const double p90 = Percentile(latencies, 0.90);
-  const double p99 = Percentile(latencies, 0.99);
-  const double max = latencies.empty() ? 0 : latencies.back();
-
-  std::printf("%zu connections x %zu requests: %llu OK, %llu ERR in %.3f s\n",
-              connections, requests,
-              static_cast<unsigned long long>(ok),
-              static_cast<unsigned long long>(err), wall_s);
-  std::printf("throughput %.0f req/s; latency us: mean %.1f p50 %.1f "
-              "p90 %.1f p99 %.1f max %.1f\n",
-              throughput, mean, p50, p90, p99, max);
-
-  if (!out_path.empty()) {
-    JsonWriter json;
-    json.BeginObject();
-    json.Key("context");
-    json.BeginObject();
-    json.Key("host");
-    json.String("127.0.0.1");
-    json.Key("port");
-    json.Int(port);
-    json.Key("connections");
-    json.Int(connections);
-    json.Key("requests_per_connection");
-    json.Int(requests);
-    json.Key("proteins");
-    json.Int(num_proteins);
-    json.EndObject();
-    json.Key("benchmarks");
-    json.BeginArray();
-    json.BeginObject();
-    json.Key("name");
-    json.String(bench_name);
-    json.Key("requests");
-    json.Int(ok + err);
-    json.Key("errors");
-    json.Int(err);
-    json.Key("wall_seconds");
-    json.Double(wall_s);
-    json.Key("throughput_rps");
-    json.Double(throughput);
-    json.Key("mean_us");
-    json.Double(mean);
-    json.Key("p50_us");
-    json.Double(p50);
-    json.Key("p90_us");
-    json.Double(p90);
-    json.Key("p99_us");
-    json.Double(p99);
-    json.Key("max_us");
-    json.Double(max);
-    // Per-connection breakdown: a single slow or error-prone connection
-    // (e.g. one pinned to a backend that was killed mid-run) shows up here
-    // even when the aggregate percentiles look healthy.
-    json.Key("per_connection");
-    json.BeginArray();
-    for (size_t c = 0; c < results.size(); ++c) {
-      const WorkerResult& r = results[c];
-      double worker_max = 0;
-      for (const double v : r.latencies_us) worker_max = std::max(worker_max, v);
-      json.BeginObject();
-      json.Key("connection");
-      json.Int(c);
-      json.Key("requests");
-      json.Int(r.ok + r.err);
-      json.Key("errors");
-      json.Int(r.err);
-      json.Key("max_us");
-      json.Double(worker_max);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.EndObject();
-    json.EndArray();
-    json.EndObject();
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%s\n", json.str().c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-  if (err > 0) {
-    for (size_t c = 0; c < results.size(); ++c) {
-      if (results[c].first_err_request.empty()) continue;
-      std::fprintf(stderr,
-                   "error: connection %zu request \"%s\" answered \"%s\" "
-                   "(%llu ERR total)\n",
-                   c, results[c].first_err_request.c_str(),
-                   results[c].first_err_header.c_str(),
-                   static_cast<unsigned long long>(err));
-      break;
-    }
+  for (size_t c = 0; c < results.size(); ++c) {
+    if (results[c].first_err_request.empty()) continue;
+    std::fprintf(stderr,
+                 "error: connection %zu request \"%s\" answered \"%s\" "
+                 "(%llu ERR total)\n",
+                 c, results[c].first_err_request.c_str(),
+                 results[c].first_err_header.c_str(),
+                 static_cast<unsigned long long>(err));
     return 1;
   }
   return 0;
-}
-
-/// One window-labeled gauge sample extracted from a METRICS exposition:
-/// `lamo_serve_requests_per_sec{backend="0",shard="0/2",window="10s"} 61.2`.
-struct TopSample {
-  std::string metric;
-  std::string backend;  // "-" for the polled process's own series
-  std::string window;   // "lifetime", "10s" or "60s"
-  double value = 0.0;
-};
-
-/// Pulls `key="value"` out of a label substring; empty when absent.
-std::string LabelValue(const std::string& labels, const std::string& key) {
-  const std::string needle = key + "=\"";
-  const size_t at = labels.find(needle);
-  if (at == std::string::npos) return "";
-  const size_t start = at + needle.size();
-  const size_t end = labels.find('"', start);
-  return end == std::string::npos ? "" : labels.substr(start, end - start);
-}
-
-/// Extracts every window-labeled sample (rates and percentiles) from raw
-/// exposition lines; other series don't belong in the top table.
-std::vector<TopSample> ParseTopSamples(const std::vector<std::string>& lines) {
-  std::vector<TopSample> samples;
-  for (const std::string& line : lines) {
-    if (line.empty() || line[0] == '#') continue;
-    const size_t brace = line.find('{');
-    const size_t space = line.find(' ');
-    if (brace == std::string::npos || space == std::string::npos ||
-        brace > space) {
-      continue;  // unlabeled sample: no window, not a table row
-    }
-    const size_t close = line.find('}', brace);
-    if (close == std::string::npos) continue;
-    const std::string labels = line.substr(brace + 1, close - brace - 1);
-    TopSample sample;
-    sample.window = LabelValue(labels, "window");
-    if (sample.window.empty()) continue;
-    sample.metric = line.substr(0, brace);
-    const std::string backend = LabelValue(labels, "backend");
-    sample.backend = backend.empty() ? "-" : backend;
-    const size_t value_at = line.find(' ', close);
-    if (value_at == std::string::npos) continue;
-    sample.value = std::strtod(line.c_str() + value_at + 1, nullptr);
-    samples.push_back(std::move(sample));
-  }
-  return samples;
 }
 
 /// Top mode: polls STATS + METRICS and prints the raw stats (the router's
@@ -504,8 +348,19 @@ int RunTop(uint16_t port, size_t iterations, uint64_t interval_ms) {
     // a backend's series group together under its metric.
     std::map<std::pair<std::string, std::string>, std::map<std::string, double>>
         rows;
-    for (const TopSample& sample : ParseTopSamples(metrics)) {
-      rows[{sample.metric, sample.backend}][sample.window] = sample.value;
+    // Only window-labeled samples (rates and percentiles) are table rows;
+    // series without a backend label are the polled process's own ("-").
+    for (const std::string& line : metrics) {
+      if (line.empty() || line[0] == '#') continue;
+      PromSample sample;
+      std::string error;
+      if (!ParsePromSample(line, &sample, &error)) continue;
+      const auto window = sample.labels.find("window");
+      if (window == sample.labels.end()) continue;
+      const auto backend = sample.labels.find("backend");
+      const std::string row_backend =
+          backend == sample.labels.end() ? "-" : backend->second;
+      rows[{sample.name, row_backend}][window->second] = sample.value;
     }
     if (rows.empty()) {
       std::printf("(no windowed series yet — scrape again after traffic)\n");
@@ -658,12 +513,9 @@ int Main(int argc, char** argv) {
   size_t connections = 4;
   size_t requests = 100;
   size_t proteins = 0;
-  std::string out_path;
   std::string query;
   std::string abuse;
-  std::string bench_name = "serve/mixed_predict_motifs";
   bool have_query = false;
-  bool cluster = false;
   bool top = false;
   size_t watch = 1;
   uint64_t interval_ms = 2000;
@@ -687,6 +539,11 @@ int Main(int argc, char** argv) {
         return Usage();
       }
       if (arg == "--port") {
+        if (parsed == 0 || parsed > 65535) {
+          std::fprintf(stderr, "error: --port must be in 1..65535, got %s\n",
+                       value);
+          return Usage();
+        }
         port = static_cast<uint16_t>(parsed);
       } else if (arg == "--connections") {
         connections = static_cast<size_t>(parsed);
@@ -699,18 +556,8 @@ int Main(int argc, char** argv) {
       } else {
         requests = static_cast<size_t>(parsed);
       }
-    } else if (arg == "--cluster") {
-      cluster = true;
     } else if (arg == "--top") {
       top = true;
-    } else if (arg == "--name") {
-      const char* value = need_value("--name");
-      if (value == nullptr) return Usage();
-      bench_name = value;
-    } else if (arg == "--out") {
-      const char* value = need_value("--out");
-      if (value == nullptr) return Usage();
-      out_path = value;
     } else if (arg == "--query") {
       const char* value = need_value("--query");
       if (value == nullptr) return Usage();
@@ -748,12 +595,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "error: --connections and --requests must be > 0\n");
     return Usage();
   }
-  if (cluster && proteins == 0) {
-    std::fprintf(stderr, "error: --cluster requires --proteins N\n");
-    return Usage();
-  }
-  return RunBench(port, connections, requests, out_path, bench_name, cluster,
-                  proteins);
+  return RunLoad(port, connections, requests, proteins);
 }
 
 }  // namespace

@@ -39,65 +39,6 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-/// One parsed sample line: bare name, label set, numeric value.
-struct Sample {
-  std::string name;
-  std::map<std::string, std::string> labels;
-  double value = 0.0;
-};
-
-/// Splits `name{k="v",...} value` (labels optional). The shared parser
-/// already guaranteed a valid name and a finite value; this adds strict
-/// label-pair syntax.
-bool ParseSample(const std::string& line, Sample* sample, std::string* error) {
-  const size_t name_end = line.find_first_of("{ ");
-  if (name_end == std::string::npos) {
-    *error = "no value in sample '" + line + "'";
-    return false;
-  }
-  sample->name = line.substr(0, name_end);
-  sample->labels.clear();
-  size_t pos = name_end;
-  if (line[pos] == '{') {
-    ++pos;
-    while (pos < line.size() && line[pos] != '}') {
-      const size_t eq = line.find('=', pos);
-      if (eq == std::string::npos || eq + 1 >= line.size() ||
-          line[eq + 1] != '"') {
-        *error = "malformed label in '" + line + "'";
-        return false;
-      }
-      const std::string key = line.substr(pos, eq - pos);
-      std::string value;
-      size_t v = eq + 2;
-      while (v < line.size() && line[v] != '"') {
-        if (line[v] == '\\' && v + 1 < line.size()) ++v;
-        value += line[v++];
-      }
-      if (v >= line.size()) {
-        *error = "unterminated label value in '" + line + "'";
-        return false;
-      }
-      sample->labels[key] = value;
-      pos = v + 1;
-      if (pos < line.size() && line[pos] == ',') ++pos;
-    }
-    if (pos >= line.size() || line[pos] != '}') {
-      *error = "unterminated label set in '" + line + "'";
-      return false;
-    }
-    ++pos;
-  }
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-  char* end = nullptr;
-  sample->value = std::strtod(line.c_str() + pos, &end);
-  if (end == line.c_str() + pos || *end != '\0') {
-    *error = "non-numeric value in '" + line + "'";
-    return false;
-  }
-  return true;
-}
-
 /// The label set minus `le`, serialized as a grouping key (std::map keeps
 /// it order-independent).
 std::string GroupKey(const std::map<std::string, std::string>& labels) {
@@ -120,8 +61,8 @@ int CheckHistogramFamily(const PromFamily& family) {
   std::map<std::string, HistGroup> groups;
   std::string error;
   for (const std::string& line : family.samples) {
-    Sample sample;
-    if (!ParseSample(line, &sample, &error)) return Fail(error);
+    PromSample sample;
+    if (!ParsePromSample(line, &sample, &error)) return Fail(error);
     HistGroup& group = groups[GroupKey(sample.labels)];
     if (sample.name == family.name + "_bucket") {
       const auto le = sample.labels.find("le");
@@ -174,9 +115,9 @@ bool FindOwnSample(const std::vector<PromFamily>& families,
   for (const PromFamily& family : families) {
     if (family.name != name) continue;
     for (const std::string& line : family.samples) {
-      Sample sample;
+      PromSample sample;
       std::string error;
-      if (!ParseSample(line, &sample, &error)) continue;
+      if (!ParsePromSample(line, &sample, &error)) continue;
       if (sample.name == name && sample.labels.empty()) {
         *value = sample.value;
         return true;
@@ -258,8 +199,8 @@ int Check(const std::string& path, const std::string& report_path) {
 
   for (const PromFamily& family : families) {
     for (const std::string& line : family.samples) {
-      Sample sample;
-      if (!ParseSample(line, &sample, &error)) return Fail(error);
+      PromSample sample;
+      if (!ParsePromSample(line, &sample, &error)) return Fail(error);
     }
     if (family.type == "histogram") {
       const int rc = CheckHistogramFamily(family);

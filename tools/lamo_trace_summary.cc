@@ -20,6 +20,7 @@
 
 #include "obs/json.h"
 #include "util/atomic_io.h"
+#include "util/string_util.h"
 
 namespace lamo {
 namespace {
@@ -185,16 +186,26 @@ int Summarize(const std::string& path, size_t top) {
 }  // namespace lamo
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: lamo_trace_summary <trace.json> [--top N]\n");
+  const auto usage = [] {
+    std::fprintf(stderr, "usage: lamo_trace_summary <trace.json> [--top N]\n"
+                         "  --top N  rows per table, N >= 1 (default 10)\n");
     return 2;
-  }
+  };
+  if (argc < 2) return usage();
   size_t top = 10;
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0) {
-      top = static_cast<size_t>(std::strtoull(argv[i + 1], nullptr, 10));
+  for (int i = 2; i < argc; ++i) {
+    uint64_t parsed = 0;
+    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc &&
+        lamo::ParseUint64(argv[i + 1], &parsed) && parsed >= 1) {
+      top = static_cast<size_t>(parsed);
+      ++i;
+      continue;
     }
+    std::fprintf(stderr, "error: bad argument \"%s\"%s\n", argv[i],
+                 std::strcmp(argv[i], "--top") == 0
+                     ? " (--top takes an integer >= 1)"
+                     : "");
+    return usage();
   }
   return lamo::Summarize(argv[1], top);
 }
